@@ -1,5 +1,5 @@
 """driftlab: principal eigenpairs of small-diffusion advection operators on
-flat tori, with predicted concentration limits and diagnostics."""
+flat tori, followed down an eps schedule toward their eps -> 0 limit."""
 
 __version__ = "0.1.0"
 

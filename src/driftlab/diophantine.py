@@ -53,8 +53,8 @@ def _divisor_grid(k, M):
     M1, M2 = np.meshgrid(m, m, indexing="ij")
     r2 = M1**2 + M2**2
     mask = (r2 > 0) & (r2 <= M * M)
-    vals = np.abs(M1 * k1 + M2 * k2)
-    return M1[mask], M2[mask], r2[mask], vals[mask]
+    divs = np.abs(M1 * k1 + M2 * k2)
+    return M1[mask], M2[mask], r2[mask], divs[mask]
 
 
 def min_divisor(k, M):
@@ -63,9 +63,9 @@ def min_divisor(k, M):
     Returns ((m1, m2), value); ties resolved by smallest radius, then
     lexicographically.
     """
-    M1, M2, r2, vals = _divisor_grid(k, M)
-    vmin = vals.min()
-    at = np.flatnonzero(vals == vmin)
+    M1, M2, r2, divs = _divisor_grid(k, M)
+    vmin = divs.min()
+    at = np.flatnonzero(divs == vmin)
     order = np.lexsort((M2[at], M1[at], r2[at]))
     i = at[order[0]]
     return (int(M1[i]), int(M2[i])), float(vmin)
@@ -74,13 +74,13 @@ def min_divisor(k, M):
 def divisor_records(k, M):
     """Running minima of |m.k| by increasing radius: the frequency pairs that
     set a new record small divisor. Returns list of ((m1,m2), r2, value)."""
-    M1, M2, r2, vals = _divisor_grid(k, M)
-    order = np.lexsort((np.abs(M2), np.abs(M1), vals, r2))
+    M1, M2, r2, divs = _divisor_grid(k, M)
+    order = np.lexsort((np.abs(M2), np.abs(M1), divs, r2))
     records = []
     best = math.inf
     for i in order:
-        if vals[i] < best:
-            best = float(vals[i])
+        if divs[i] < best:
+            best = float(divs[i])
             records.append(((int(M1[i]), int(M2[i])), int(r2[i]), best))
     return records
 
@@ -91,7 +91,6 @@ class DivisorBound:
     alpha: float
     worst_m: tuple
     worst_value: float
-    margin: float  # min over m of |m.k| * r2^alpha / C; >= 1 means bound holds
 
 
 def fit_divisor_bound(k, M):
@@ -100,14 +99,14 @@ def fit_divisor_bound(k, M):
     records = [(m, r2, v) for m, r2, v in divisor_records(k, M) if r2 > 1]
     worst_m, worst_v = min_divisor(k, M)
     if len(records) < 2:
-        return DivisorBound(worst_v, 0.0, worst_m, worst_v, 1.0)
+        return DivisorBound(worst_v, 0.0, worst_m, worst_v)
     lr = np.log([r2 for _, r2, _ in records])
     lv = np.log([v for _, _, v in records])
     alpha = -float(np.polyfit(lr, lv, 1)[0])
     alpha = max(alpha, 0.0)
-    _, _, r2a, vals = _divisor_grid(k, M)
-    C = float(np.min(vals * r2a**alpha))
-    return DivisorBound(C, alpha, worst_m, worst_v, 1.0)
+    _, _, r2a, divs = _divisor_grid(k, M)
+    C = float(np.min(divs * r2a**alpha))
+    return DivisorBound(C, alpha, worst_m, worst_v)
 
 
 def check_declared_bound(k, M, C, alpha):
@@ -115,6 +114,6 @@ def check_declared_bound(k, M, C, alpha):
 
     Returns (ok, margin) with margin = min |m.k|*(m1^2+m2^2)^alpha / C.
     """
-    _, _, r2, vals = _divisor_grid(k, M)
-    margin = float(np.min(vals * r2**float(alpha)) / float(C))
+    _, _, r2, divs = _divisor_grid(k, M)
+    margin = float(np.min(divs * r2**float(alpha)) / float(C))
     return margin >= 1.0, margin

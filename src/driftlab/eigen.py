@@ -1,4 +1,4 @@
-"""Principal eigenpair of Metzler slot-form operators by shifted power
+"""Principal eigenpair of Metzler stencil operators by shifted power
 iteration, with a certified sup-norm residual.
 
 The iteration runs on B = I + tau*(A - s*I) with s = min diag(A) - 1 and
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonMetzlerError, NotIrreducibleError, ScheduleError
-from .operator import assemble
+from .operator import Grid, assemble
 
 __all__ = [
     "EigenPair",
@@ -115,20 +115,18 @@ class SweepEntry:
 
 
 def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                scheme="upwind", warm_start=True, allow_large=False, grid_cls=None):
+                scheme="upwind", warm_start=True, allow_large=False):
     """One certified eigenpair per eps, warm-starting down the schedule.
 
     Per-entry failures are recorded on the entry, not raised, so one bad
     epsilon does not abort the rest of the sweep.
     """
-    from .operator import Grid
-
     eps_list = [float(e) for e in eps_list]
     if not eps_list or any(e <= 0 for e in eps_list):
         raise ScheduleError("eps schedule must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ScheduleError("eps schedule must be strictly decreasing")
-    grid = (grid_cls or Grid)(scenario.dim, n)
+    grid = Grid(scenario.dim, n)
     entries = []
     x0 = None
     for eps in eps_list:
@@ -154,12 +152,13 @@ def extrapolate_limit(sweep):
     """Richardson limit of lam_eps = lam0 + a*eps^p on a geometric schedule.
 
     Accepts SweepEntry lists or (eps, lam) pairs; needs >= 3 entries with a
-    ratio constant to 1%. Fitted from the last three points.
+    ratio constant to 1%. Fitted from the last three points. Sweep entries
+    without a certified pair are left out.
     """
     data = []
     for item in sweep:
         if isinstance(item, SweepEntry):
-            if item.pair is None:
+            if not item.ok:
                 continue
             data.append((item.eps, item.pair.lam))
         else:

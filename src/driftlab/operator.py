@@ -1,27 +1,26 @@
 """Finite-difference assembly of eps*Lap + b.grad + c on uniform periodic grids.
 
-The operator is stored in uniform-slot form: K = 2*dim + 1 column/value slots
-per row, sorted by ascending column, so the mat-vec has a fixed per-row
-summation order (see kernels). Upwind advection keeps every off-diagonal
-entry nonnegative for any eps and h, which is what gives the discrete
-operator a real simple leading eigenvalue with a positive eigenvector.
+The operator is stored in stencil form: a diagonal and, for each of the 2*dim
+periodic neighbours x + h*e_a and x - h*e_a, a row-index map and one
+coefficient per row. The mat-vec sums the neighbour terms in that fixed
+order, so its result is deterministic. Upwind advection keeps every
+off-diagonal entry nonnegative for any eps and h, which is what gives the
+discrete operator a real simple leading eigenvalue with a positive
+eigenvector.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import GridTooLargeError
-
-TWO_PI = 2.0 * math.pi
+from .scenario import TWO_PI
 
 # refuse grids with more rows than this without an explicit override
 MAX_GRID_SIZE = 2**24
 
-__all__ = ["Grid", "SparseOperator", "assemble", "assemble_gauged", "apply"]
+__all__ = ["Grid", "SparseOperator", "assemble", "assemble_gauged"]
 
 
 @dataclass(frozen=True)
@@ -51,33 +50,24 @@ class Grid:
         mesh = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
         return [m.ravel() for m in mesh]
 
-    def points(self):
-        return np.stack(self.coord_arrays(), axis=1)
-
     def flat_index(self, multi):
         return int(np.ravel_multi_index([m % self.n for m in multi], (self.n,) * self.dim))
 
 
 class SparseOperator:
-    """Uniform-slot sparse matrix with assembly metadata."""
+    """Stencil-form sparse matrix on a periodic grid.
 
-    def __init__(self, grid, cols, vals, diag, *, eps, scenario="", scheme="upwind",
-                 gauged=False):
+    Row r is diag[r]*x[r] + sum_k off[k, r]*x[nbr[k, r]], where nbr[2a] and
+    nbr[2a+1] map each row to its x + h*e_a and x - h*e_a neighbours.
+    """
+
+    def __init__(self, grid, diag, nbr, off, *, scheme="upwind"):
         self.grid = grid
-        self.cols = cols
-        self.vals = vals
-        self.diag = diag
-        self.eps = eps
-        self.scenario = scenario
+        self.diag = diag  # (N,)
+        self.nbr = nbr  # (2*dim, N) row indices
+        self.off = off  # (2*dim, N) neighbour coefficients
         self.scheme = scheme
-        self.gauged = gauged
-        rows = np.arange(grid.size)[:, None]
-        off = self.vals[self.cols != rows]
-        self.min_offdiag = float(off.min()) if off.size else 0.0
-
-    @property
-    def shape(self):
-        return (self.grid.size, self.grid.size)
+        self.min_offdiag = float(off.min())
 
     @property
     def is_metzler(self):
@@ -93,81 +83,55 @@ class SparseOperator:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.grid.size,):
             raise ValueError("vector length %d, expected %d" % (x.size, self.grid.size))
-        if out is None:
-            out = np.empty_like(x)
-        return kernels.matvec(self.cols, self.vals, x, out)
+        out = np.multiply(self.diag, x, out=out)
+        for nbr, off in zip(self.nbr, self.off):
+            out += off * x[nbr]
+        return out
 
     def to_dense(self):
-        n = self.grid.size
-        dense = np.zeros((n, n))
-        dense[np.arange(n)[:, None], self.cols] = self.vals
+        rows = np.arange(self.grid.size)
+        dense = np.diag(self.diag)
+        for nbr, off in zip(self.nbr, self.off):
+            dense[rows, nbr] += off
         return dense
-
-    def dump(self, fh):
-        """Debug text form: one "row col value" triplet per line, row-major,
-        ascending column within each row."""
-        for r in range(self.grid.size):
-            for j in range(self.cols.shape[1]):
-                fh.write("%d %d %.17g\n" % (r, self.cols[r, j], self.vals[r, j]))
-
-    def meta(self):
-        return {
-            "n": self.grid.n,
-            "dim": self.grid.dim,
-            "eps": self.eps,
-            "scenario": self.scenario,
-            "scheme": self.scheme,
-            "gauged": self.gauged,
-            "min_offdiag": self.min_offdiag,
-        }
-
-
-def apply(op, x, out=None):
-    return op.apply(x, out=out)
 
 
 def _neighbor_indices(grid):
+    """(2*dim, N) row indices of x + h*e_a and x - h*e_a, axis by axis."""
     idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
-    pairs = []
+    maps = []
     for a in range(grid.dim):
-        ip = np.roll(idx, -1, axis=a).ravel()  # index of x + h*e_a
-        im = np.roll(idx, +1, axis=a).ravel()  # index of x - h*e_a
-        pairs.append((ip, im))
-    return pairs
+        maps.append(np.roll(idx, -1, axis=a).ravel())  # index of x + h*e_a
+        maps.append(np.roll(idx, +1, axis=a).ravel())  # index of x - h*e_a
+    return np.stack(maps)
 
 
-def _assemble_core(grid, diffusion, drift_vals, pot_vals, scheme):
-    """A = diffusion*D2 + U(drift)*D1 + diag(pot) in slot form."""
+def _assemble_core(grid, diffusion, drift, pot, scheme):
+    """A = diffusion*D2 + U(drift)*D1 + diag(pot) in stencil form."""
     if scheme not in ("upwind", "centered"):
         raise ValueError("scheme must be 'upwind' or 'centered'")
     h = grid.h
     lap = diffusion / (h * h)
-    size = grid.size
-    cols = [np.arange(size)]
-    vals = []
-    diag = np.full(size, -2.0 * grid.dim * lap) + pot_vals
-    for a, (ip, im) in enumerate(_neighbor_indices(grid)):
-        ba = drift_vals[a]
+    diag = np.full(grid.size, -2.0 * grid.dim * lap) + pot
+    off = np.empty((2 * grid.dim, grid.size))
+    for a, ba in enumerate(drift):
         if scheme == "upwind":
             bp = np.maximum(ba, 0.0)
             bm = np.maximum(-ba, 0.0)
-            vals.append(lap + bp / h)
-            vals.append(lap + bm / h)
+            off[2 * a] = lap + bp / h
+            off[2 * a + 1] = lap + bm / h
             diag -= (bp + bm) / h
         else:
-            vals.append(lap + ba / (2.0 * h))
-            vals.append(lap - ba / (2.0 * h))
-        cols.append(ip)
-        cols.append(im)
-    cols = np.stack(cols, axis=1)
-    vals = np.stack([diag] + vals, axis=1)
-    order = np.argsort(cols, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    return cols, vals, diag
+            off[2 * a] = lap + ba / (2.0 * h)
+            off[2 * a + 1] = lap - ba / (2.0 * h)
+    return SparseOperator(grid, diag, _neighbor_indices(grid), off, scheme=scheme)
 
 
-def _check_size(grid, allow_large):
+def _check_inputs(scenario, grid, eps, allow_large):
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if grid.dim != scenario.dim:
+        raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
     if grid.size > MAX_GRID_SIZE and not allow_large:
         raise GridTooLargeError(
             "grid has %d rows (> %d); pass the override to proceed"
@@ -177,17 +141,11 @@ def _check_size(grid, allow_large):
 
 def assemble(scenario, grid, eps, scheme="upwind", allow_large=False):
     """Discrete eps*Lap + b.grad + c with the requested advection scheme."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if grid.dim != scenario.dim:
-        raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
-    _check_size(grid, allow_large)
+    _check_inputs(scenario, grid, eps, allow_large)
     coords = grid.coord_arrays()
     drift = [np.asarray(scenario.b[i](*coords), dtype=float) for i in range(grid.dim)]
     pot = np.asarray(scenario.c(*coords), dtype=float)
-    cols, vals, diag = _assemble_core(grid, eps, drift, pot, scheme)
-    return SparseOperator(grid, cols, vals, diag, eps=eps,
-                          scenario=scenario.name, scheme=scheme)
+    return _assemble_core(grid, eps, drift, pot, scheme)
 
 
 def assemble_gauged(scenario, grid, eps, scheme="upwind", allow_large=False):
@@ -198,25 +156,18 @@ def assemble_gauged(scenario, grid, eps, scheme="upwind", allow_large=False):
     Conjugation identity: exp(-L/2eps) * eps*(eps*Lap + b.grad + c) applied to
     exp(L/2eps)*w equals this operator applied to w, for smooth w.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if grid.dim != scenario.dim:
-        raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
-    _check_size(grid, allow_large)
+    _check_inputs(scenario, grid, eps, allow_large)
     coords = grid.coord_arrays()
-    d = grid.dim
-    b = [np.asarray(scenario.b[i](*coords), dtype=float) for i in range(d)]
-    gL = [np.asarray(scenario.grad_L[i](*coords), dtype=float) for i in range(d)]
-    drift = [eps * (b[i] + gL[i]) for i in range(d)]
-    psi = 0.25 * sum(gL[i] * gL[i] + 2.0 * gL[i] * b[i] for i in range(d))
+    drift = [eps * np.asarray(scenario.b[i](*coords) + scenario.grad_L[i](*coords),
+                              dtype=float)
+             for i in range(grid.dim)]
     pot = eps * (np.asarray(scenario.c(*coords), dtype=float)
-                 + 0.5 * np.asarray(scenario.lap_L(*coords), dtype=float)) + psi
-    cols, vals, diag = _assemble_core(grid, eps * eps, drift, pot, scheme)
-    return SparseOperator(grid, cols, vals, diag, eps=eps,
-                          scenario=scenario.name, scheme=scheme, gauged=True)
+                 + 0.5 * np.asarray(scenario.lap_L(*coords), dtype=float)
+                 ) + gauge_weight(scenario, grid)
+    return _assemble_core(grid, eps * eps, drift, pot, scheme)
 
 
-def gauge_weight(scenario, grid, eps):
+def gauge_weight(scenario, grid):
     """Samples of Psi_L = (|grad L|^2 + 2(grad L, b))/4 on the grid."""
     coords = grid.coord_arrays()
     d = grid.dim

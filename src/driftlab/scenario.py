@@ -330,7 +330,7 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
     for idx, comp in enumerate(scenario.components):
         cid = "%d:%s" % (idx, comp.kind)
         if comp.kind == "point":
-            res = float(np.max(np.abs(b_at(scenario, comp.location))))
+            res = float(np.max(np.abs(eval_field(scenario, comp.location).b)))
             checks.append(ValidationCheck(
                 cid + " field vanishes", res <= tol, res))
             re_parts = np.abs(np.real(np.linalg.eigvals(comp.jacobian)))
@@ -414,11 +414,6 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
                 "max |grad L| on the component"))
 
     return ValidationReport(scenario.name, resolution, tol, tuple(checks))
-
-
-def b_at(scenario, location):
-    p = [float(v) for v in location]
-    return np.array([scenario.b[i](*p) for i in range(scenario.dim)])
 
 
 # -- builtins --------------------------------------------------------------------

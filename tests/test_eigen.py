@@ -31,14 +31,10 @@ class TestPreconditions:
     def test_reducible_rejected(self):
         s = bare_scenario(1, ["0"], "0")
         base = assemble(s, Grid(1, 8), 0.1)
-        rows = np.arange(base.grid.size)[:, None]
-        vals = base.vals.copy()
-        vals[base.cols != rows] = 0.0  # decoupled diagonal matrix
-        diag = base.diag.copy()
+        diag = np.ones(base.grid.size)
         diag[0] = 3.0
-        diag[1:] = 1.0
-        vals[base.cols == rows] = diag
-        op = SparseOperator(base.grid, base.cols, vals, diag, eps=0.1)
+        # zero neighbour couplings: a decoupled diagonal matrix
+        op = SparseOperator(base.grid, diag, base.nbr, np.zeros_like(base.off))
         with pytest.raises(NotIrreducibleError):
             principal_eigenpair(op)
 
@@ -165,6 +161,15 @@ class TestExtrapolation:
     def test_needs_three_points(self):
         with pytest.raises(ScheduleError):
             extrapolate_limit([(0.2, 1.0), (0.1, 1.1)])
+
+    def test_uncertified_entries_left_out(self):
+        # 50 iterations certify none of the stable-cycle pairs; their
+        # eigenvalues must not feed lambda0
+        s = builtin_scenario("stable-cycle")
+        entries = eigen_sweep(s, 32, [0.2, 0.1, 0.05], max_iter=50)
+        assert all(e.pair is not None and not e.ok for e in entries)
+        with pytest.raises(ScheduleError):
+            extrapolate_limit(entries)
 
     def test_constant_sequence(self):
         r = extrapolate_limit([(0.2, 5.0), (0.1, 5.0), (0.05, 5.0)])
