@@ -1,10 +1,14 @@
-"""Principal eigenpair of Metzler stencil operators by shifted power
-iteration, with a certified sup-norm residual.
+"""Principal eigenpair of Metzler stencil operators by thick-restart
+Arnoldi, certified by a Collatz-Wielandt bracket.
 
-The iteration runs on B = I + tau*(A - s*I) with s = min diag(A) - 1 and
-tau = 0.9 / max(diag(A) - s): B is nonnegative and irreducible whenever A is
-Metzler with positive neighbor couplings, so the iteration converges to the
-positive Perron vector from the constant start.
+The Krylov basis holds KRYLOV_DIM vectors. After each cycle the rightmost
+Ritz pair of the projected matrix gives lam and u, and one operator apply
+gives the bracket [min (Au)_i/u_i, max (Au)_i/u_i]. For a Metzler,
+irreducible A and any u > 0 that bracket contains the Perron eigenvalue, so
+its width bounds the error of lam. Between cycles the basis is cut back to
+the span of the KEEP rightmost Ritz vectors, in place (Stewart's
+Krylov-Schur restart, with an orthonormalized real basis of Ritz vectors in
+place of the Schur vectors).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonMetzlerError, NotIrreducibleError, ScheduleError
+from .errors import GridTooLargeError, NonMetzlerError, NotIrreducibleError, ScheduleError
 from .operator import Grid, assemble
 
 __all__ = [
@@ -28,22 +32,35 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200000
 
+# Krylov basis size, and Ritz vectors kept across a restart
+KRYLOV_DIM = 30
+KEEP = 10
+# give up, uncertified, after this many cycles without a narrower bracket
+STALL_CYCLES = 10
+# refuse to allocate a Krylov basis of (KRYLOV_DIM + 1) float64 rows larger than this
+BASIS_MAX_BYTES = 2**30
+
 
 @dataclass
 class EigenPair:
     lam: float
-    u: np.ndarray  # strictly positive, sum(u^2)*h^dim = 1
+    u: np.ndarray  # positive when certified, sum(u^2)*h^dim = 1
     residual: float  # sup|A u - lam u| / sup|u|
-    iterations: int
+    iterations: int  # operator applies made by the solver
     certified: bool
-    lam_aitken: float = math.nan  # diagnostic acceleration of the lam sequence
+    lam_lo: float  # Collatz-Wielandt bracket at u: min (Au)_i/u_i
+    lam_hi: float  # max (Au)_i/u_i; both infinite unless u > 0
 
 
 def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None):
     """Leading eigenvalue and positive eigenfunction of a Metzler operator.
 
-    Returns a certified pair when the relative sup-norm residual reaches tol
-    within max_iter iterations; otherwise the best iterate, flagged.
+    Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
+    [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide. `iterations` counts
+    every op.apply call, at most max_iter of them. When they run out, or
+    the bracket stops narrowing for STALL_CYCLES cycles, the iterate with the
+    narrowest bracket (without one, the smallest residual) is returned,
+    flagged uncertified.
     """
     if not op.is_metzler:
         raise NonMetzlerError(
@@ -54,49 +71,106 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             "zero neighbor couplings: Perron structure not certified")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 2:
+        raise ValueError("max_iter must allow one Arnoldi step and one check")
     size = op.grid.size
-    diag = op.diag
-    s = float(diag.min()) - 1.0
-    tau = 0.9 / float(diag.max() - s)
-
+    m = KRYLOV_DIM
+    if (m + 1) * size * 8 > BASIS_MAX_BYTES:
+        raise GridTooLargeError(
+            "Krylov basis of %d x %d floats exceeds %d bytes"
+            % (m + 1, size, BASIS_MAX_BYTES))
     if x0 is None:
-        x = np.full(size, 1.0 / math.sqrt(size))
+        x = np.ones(size)
     else:
         x = np.asarray(x0, dtype=float)
         if x.shape != (size,):
             raise ValueError("x0 has wrong length")
-        x = x / math.sqrt(np.sum(x * x))
-    y = np.empty_like(x)
 
-    lam = 0.0
-    res = math.inf
-    lam_hist = []
-    it = 0
-    for it in range(1, max_iter + 1):
-        op.apply(x, out=y)
-        lam = float(np.sum(x * y))  # Rayleigh ratio, x has unit L2 norm
-        res = float(np.max(np.abs(y - lam * x)) / np.max(np.abs(x)))
-        if res <= tol:
+    V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
+    H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
+    V[0] = x / math.sqrt(np.sum(x * x))
+    j = 0  # basis vectors with their column of H
+    calls = 0
+    best = best_key = None
+    stale = 0
+    roundoff = np.finfo(float).eps
+    while True:
+        invariant = False
+        for _ in range(min(m - j, max_iter - calls - 1)):
+            w = op.apply(V[j])
+            calls += 1
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            dh = basis @ w  # classical Gram-Schmidt, once more
+            w -= dh @ basis
+            H[:j + 1, j] = h + dh
+            beta = math.sqrt(np.sum(w * w))
+            H[j + 1, j] = beta
+            j += 1
+            if beta <= roundoff * math.sqrt(np.sum(H[:j, j - 1] ** 2)):
+                invariant = True  # the Ritz values of H[:j, :j] are exact
+                break
+            V[j] = w / beta
+
+        theta, Y = np.linalg.eig(H[:j, :j])
+        order = np.argsort(-theta.real)
+        lam = float(theta[order[0]].real)
+        u = Y[:, order[0]].real @ V[:j]
+        if np.sum(u) < 0:
+            u = -u
+        au = op.apply(u)
+        calls += 1
+        residual = float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
+        lo, hi = -math.inf, math.inf
+        if u.min() > 0.0:
+            ratio = au / u
+            lo, hi = float(ratio.min()), float(ratio.max())
+            # the Perron value lies in [lo, hi], so moving lam there only helps
+            lam = min(max(lam, lo), hi)
+        certified = hi - lo <= tol * max(1.0, abs(lam))
+        key = (hi - lo, residual)
+        if best is None or key < best_key:
+            best, best_key, stale = (lam, u, residual, certified, lo, hi), key, 0
+        elif math.isfinite(best_key[0]):
+            stale += 1  # a bracket that stops narrowing has hit rounding
+        if certified or invariant or stale == STALL_CYCLES or max_iter - calls < 2:
             break
-        lam_hist.append(lam)
-        if len(lam_hist) > 3:
-            lam_hist.pop(0)
-        z = x + tau * (y - s * x)
-        x = z / math.sqrt(np.sum(z * z))
+        if j == m:
+            j = _restart(V, H, theta, Y, order)
 
-    lam_acc = math.nan
-    if len(lam_hist) == 3:
-        d1 = lam_hist[1] - lam_hist[0]
-        d2 = lam_hist[2] - lam_hist[1]
-        if d2 - d1 != 0.0:
-            lam_acc = lam_hist[2] - d2 * d2 / (d2 - d1)
+    lam, u, residual, certified, lo, hi = best
+    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
+    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
+                     certified=certified, lam_lo=lo, lam_hi=hi)
 
-    h = op.grid.h
-    norm = math.sqrt(np.sum(x * x) * h**op.grid.dim)
-    u = x / norm
-    certified = res <= tol and float(u.min()) > 0.0
-    return EigenPair(lam=lam, u=u, residual=res, iterations=it,
-                     certified=certified, lam_aitken=lam_acc)
+
+def _restart(V, H, theta, Y, order):
+    """Cut the Arnoldi relation back to the KEEP rightmost Ritz vectors.
+
+    A complex pair enters once, as the real and imaginary parts of its member
+    with imag > 0: that real basis spans the same H-invariant subspace, which
+    keeps the relation exact. Returns the new basis size.
+    """
+    m = H.shape[1]
+    cols = []
+    for i in order:
+        if theta[i].imag > 0:
+            cols += [Y[:, i].real, Y[:, i].imag]
+        elif theta[i].imag == 0:
+            cols.append(Y[:, i].real)
+        if len(cols) >= KEEP:
+            break
+    Q, _ = np.linalg.qr(np.array(cols).T)
+    k = Q.shape[1]
+    coupling = H[m, m - 1] * Q[m - 1]
+    projected = Q.T @ H[:m, :m] @ Q
+    V[:k] = Q.T @ V[:m]
+    V[k] = V[m]
+    H[:] = 0.0
+    H[:k, :k] = projected
+    H[k, :k] = coupling
+    return k
 
 
 @dataclass

@@ -158,19 +158,21 @@ def assemble_gauged(scenario, grid, eps, scheme="upwind", allow_large=False):
     """
     _check_inputs(scenario, grid, eps, allow_large)
     coords = grid.coord_arrays()
-    drift = [eps * np.asarray(scenario.b[i](*coords) + scenario.grad_L[i](*coords),
-                              dtype=float)
-             for i in range(grid.dim)]
+    b, gL, psi = _gauge_fields(scenario, coords)
+    drift = [eps * (b[i] + gL[i]) for i in range(grid.dim)]
     pot = eps * (np.asarray(scenario.c(*coords), dtype=float)
                  + 0.5 * np.asarray(scenario.lap_L(*coords), dtype=float)
-                 ) + gauge_weight(scenario, grid)
+                 ) + psi
     return _assemble_core(grid, eps * eps, drift, pot, scheme)
 
 
 def gauge_weight(scenario, grid):
     """Samples of Psi_L = (|grad L|^2 + 2(grad L, b))/4 on the grid."""
-    coords = grid.coord_arrays()
-    d = grid.dim
-    b = [np.asarray(scenario.b[i](*coords), dtype=float) for i in range(d)]
-    gL = [np.asarray(scenario.grad_L[i](*coords), dtype=float) for i in range(d)]
-    return 0.25 * sum(gL[i] * gL[i] + 2.0 * gL[i] * b[i] for i in range(d))
+    return _gauge_fields(scenario, grid.coord_arrays())[2]
+
+
+def _gauge_fields(scenario, coords):
+    """Samples of b, grad L and Psi_L at coords, each field evaluated once."""
+    b = [np.asarray(f(*coords), dtype=float) for f in scenario.b]
+    gL = [np.asarray(f(*coords), dtype=float) for f in scenario.grad_L]
+    return b, gL, 0.25 * sum(g * g + 2.0 * g * bi for g, bi in zip(gL, b))

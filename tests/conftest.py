@@ -1,5 +1,15 @@
 import numpy as np
 
+# a 3D sink: one attracting point at 0, the 3D case of the solver and
+# operator tests
+SINK_3D = {
+    "name": "sink-3d", "dim": 3,
+    "b": ["-sin(x1)", "-sin(x2)", "-sin(x3)"],
+    "c": "cos(x1) + cos(x2)*cos(x3)",
+    "L": "3 - cos(x1) - cos(x2) - cos(x3)",
+    "components": [{"type": "point", "location": [0.0, 0.0, 0.0]}],
+}
+
 
 def dense_principal(dense):
     """Oracle: leading eigenpair of a dense matrix by full nonsymmetric solve.

@@ -3,21 +3,49 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_principal, l2_normalize
+from conftest import SINK_3D, dense_principal, l2_normalize
+from driftlab import eigen
 from driftlab.eigen import (
     eigen_sweep,
     extrapolate_limit,
     principal_eigenpair,
 )
-from driftlab.errors import NonMetzlerError, NotIrreducibleError, ScheduleError
+from driftlab.errors import (
+    GridTooLargeError,
+    NonMetzlerError,
+    NotIrreducibleError,
+    ScheduleError,
+)
 from driftlab.operator import Grid, SparseOperator, assemble
-from driftlab.scenario import builtin_scenario, builtin_scenarios, load_scenario
+from driftlab.scenario import (
+    builtin_scenario,
+    builtin_scenarios,
+    load_scenario,
+    scenario_from_dict,
+)
 
 
 def bare_scenario(dim, b, c, L="0"):
     return load_scenario({
         "name": "raw", "dim": dim, "b": b, "c": c, "L": L, "components": [],
     })
+
+
+# every builtin at n=16 and the 3D sink at n=8: small enough for dense eig
+ORACLE_CASES = [(s, 16) for s in builtin_scenarios()] + [(scenario_from_dict(SINK_3D), 8)]
+ORACLE_IDS = [s.name for s, _ in ORACLE_CASES]
+
+
+class CountingOperator(SparseOperator):
+    """The same stencil operator, counting its apply calls."""
+
+    def __init__(self, op):
+        super().__init__(op.grid, op.diag, op.nbr, op.off, scheme=op.scheme)
+        self.applies = 0
+
+    def apply(self, x, out=None):
+        self.applies += 1
+        return super().apply(x, out=out)
 
 
 class TestPreconditions:
@@ -37,6 +65,63 @@ class TestPreconditions:
         op = SparseOperator(base.grid, diag, base.nbr, np.zeros_like(base.off))
         with pytest.raises(NotIrreducibleError):
             principal_eigenpair(op)
+
+    def test_budget_below_one_cycle_rejected(self):
+        op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
+        with pytest.raises(ValueError):
+            principal_eigenpair(op, max_iter=1)
+
+
+class TestMemoryGuard:
+    def test_boundary_allowed(self, monkeypatch):
+        # a Krylov basis exactly at the byte limit is allocated; one row more
+        # is refused before any apply
+        rows = eigen.KRYLOV_DIM + 1
+        monkeypatch.setattr(eigen, "BASIS_MAX_BYTES", rows * 16 * 8)
+        s = bare_scenario(1, ["-sin(x1)"], "cos(x1)")
+        assert principal_eigenpair(assemble(s, Grid(1, 16), 0.1)).certified
+        op = CountingOperator(assemble(s, Grid(1, 17), 0.1))
+        with pytest.raises(GridTooLargeError):
+            principal_eigenpair(op)
+        assert op.applies == 0
+
+
+class TestArnoldiAgainstDenseOracle:
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    @pytest.mark.parametrize("s, n", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_certified_bracket_holds_the_dense_value(self, s, n, eps):
+        tol = 1e-11
+        op = CountingOperator(assemble(s, Grid(s.dim, n), eps))
+        pair = principal_eigenpair(op, tol=tol)
+        lam_d, _, _ = dense_principal(op.to_dense())
+        assert pair.certified
+        assert abs(pair.lam - lam_d) <= 1e-10
+        assert pair.lam_lo <= pair.lam <= pair.lam_hi
+        assert pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= pair.lam_hi
+        assert pair.lam_hi - pair.lam_lo <= tol * max(1.0, abs(pair.lam))
+        assert pair.iterations == op.applies
+
+    @pytest.mark.parametrize("s, n", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_warm_start_costs_no_more_applies(self, s, n):
+        g = Grid(s.dim, n)
+        prev = principal_eigenpair(assemble(s, g, 0.1))
+        op = assemble(s, g, 0.05)
+        cold = principal_eigenpair(op)
+        warm = principal_eigenpair(op, x0=prev.u)
+        assert cold.certified and warm.certified
+        assert warm.iterations <= cold.iterations
+
+    def test_unreachable_tolerance_stops_early(self):
+        # rounding keeps this bracket near 2e-12 wide: the solver must give
+        # up uncertified long before the budget, returning its best iterate
+        s = builtin_scenario("stable-point")
+        op = assemble(s, Grid(1, 64), 0.05)
+        pair = principal_eigenpair(op, tol=1e-15)
+        lam_d, _, _ = dense_principal(op.to_dense())
+        assert not pair.certified
+        assert pair.iterations < 1000
+        assert pair.lam_lo <= pair.lam <= pair.lam_hi
+        assert abs(pair.lam - lam_d) <= 1e-10
 
 
 class TestSolvesAgainstDenseOracle:
@@ -163,10 +248,10 @@ class TestExtrapolation:
             extrapolate_limit([(0.2, 1.0), (0.1, 1.1)])
 
     def test_uncertified_entries_left_out(self):
-        # 50 iterations certify none of the stable-cycle pairs; their
+        # 20 applies certify none of the stable-cycle pairs; their
         # eigenvalues must not feed lambda0
         s = builtin_scenario("stable-cycle")
-        entries = eigen_sweep(s, 32, [0.2, 0.1, 0.05], max_iter=50)
+        entries = eigen_sweep(s, 32, [0.2, 0.1, 0.05], max_iter=20)
         assert all(e.pair is not None and not e.ok for e in entries)
         with pytest.raises(ScheduleError):
             extrapolate_limit(entries)

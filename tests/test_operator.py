@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SINK_3D
 from driftlab import operator
 from driftlab.errors import GridTooLargeError
-from driftlab.expr import parse_expr
+from driftlab.expr import TrigExpr, parse_expr
 from driftlab.operator import Grid, assemble, assemble_gauged, gauge_weight
 from driftlab.scenario import (
     builtin_scenario,
@@ -91,13 +92,7 @@ class TestAssembleStencil:
     @pytest.mark.parametrize("s, n", [
         (builtin_scenario("stable-point"), 32),
         (builtin_scenario("stable-cycle"), 16),
-        (scenario_from_dict({
-            "name": "sink-3d", "dim": 3,
-            "b": ["-sin(x1)", "-sin(x2)", "-sin(x3)"],
-            "c": "cos(x1) + cos(x2)*cos(x3)",
-            "L": "3 - cos(x1) - cos(x2) - cos(x3)",
-            "components": [{"type": "point", "location": [0.0, 0.0, 0.0]}],
-        }), 8),
+        (scenario_from_dict(SINK_3D), 8),
     ], ids=["1d", "2d", "3d"])
     def test_apply_matches_dense_oracle(self, s, n):
         rng = np.random.default_rng(3)
@@ -194,6 +189,21 @@ class TestGauge:
         psi = gauge_weight(s, g)
         at = g.flat_index((0, 4))  # (0, pi/2)
         assert psi[at] == pytest.approx(-0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("s", [builtin_scenario("mixed"), scenario_from_dict(SINK_3D)],
+                             ids=["2d", "3d"])
+    def test_fields_evaluated_once(self, s, monkeypatch):
+        # b, grad L, c and Lap L once each: 2*dim + 2 evaluations
+        calls = []
+        call = TrigExpr.__call__
+
+        def counting(self, *args):
+            calls.append(self)
+            return call(self, *args)
+
+        monkeypatch.setattr(TrigExpr, "__call__", counting)
+        assemble_gauged(s, Grid(s.dim, 8), 0.2)
+        assert len(calls) == 2 * s.dim + 2
 
     def test_conjugation_algebra_oracle(self):
         # independent check of the transformed coefficients: expand
