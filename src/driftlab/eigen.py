@@ -64,8 +64,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     """
     if not op.is_metzler:
         raise NonMetzlerError(
-            "off-diagonal entries reach %g < 0 (scheme %r at this resolution)"
-            % (op.min_offdiag, op.scheme))
+            "off-diagonal entries reach %g < 0" % op.min_offdiag)
     if not op.is_irreducible:
         raise NotIrreducibleError(
             "zero neighbor couplings: Perron structure not certified")
@@ -188,9 +187,9 @@ class SweepEntry:
         return self.pair.lam if self.pair is not None else math.nan
 
 
-def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                scheme="upwind", warm_start=True, allow_large=False):
-    """One certified eigenpair per eps, warm-starting down the schedule.
+def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """One certified eigenpair per eps, each solve started from the previous
+    entry's eigenfunction.
 
     Per-entry failures are recorded on the entry, not raised, so one bad
     epsilon does not abort the rest of the sweep.
@@ -205,11 +204,10 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     x0 = None
     for eps in eps_list:
         try:
-            op = assemble(scenario, grid, eps, scheme=scheme, allow_large=allow_large)
+            op = assemble(scenario, grid, eps)
             pair = principal_eigenpair(op, tol=tol, max_iter=max_iter, x0=x0)
             entries.append(SweepEntry(eps=eps, pair=pair))
-            if warm_start:
-                x0 = pair.u
+            x0 = pair.u
         except Exception as exc:  # per-entry propagation
             entries.append(SweepEntry(eps=eps, error="%s: %s" % (type(exc).__name__, exc)))
     return entries

@@ -6,7 +6,7 @@ class DriftlabError(Exception):
 
 
 class GridTooLargeError(DriftlabError):
-    """Grid exceeds the memory guard and no override was given."""
+    """Grid or solver workspace exceeds a fixed memory guard."""
 
 
 class NonMetzlerError(DriftlabError):
@@ -15,10 +15,6 @@ class NonMetzlerError(DriftlabError):
 
 class NotIrreducibleError(DriftlabError):
     """Operator stencil graph is not certified strongly connected."""
-
-
-class DiophantineViolationError(DriftlabError):
-    """A needed small divisor |m.k| fell below the safe threshold."""
 
 
 class ScheduleError(DriftlabError):

@@ -224,9 +224,6 @@ class TrigExpr:
                     raw.append((-coeff * k, rest + ((SIN, freq, phase),)))
         return TrigExpr(raw)
 
-    def gradient(self, dim):
-        return [self.derivative(i) for i in range(dim)]
-
     def laplacian(self, dim):
         out = TrigExpr.zero()
         for i in range(dim):

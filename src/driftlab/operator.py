@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridTooLargeError
 from .scenario import TWO_PI
 
-# refuse grids with more rows than this without an explicit override
+# refuse grids with more rows than this
 MAX_GRID_SIZE = 2**24
 
 __all__ = ["Grid", "SparseOperator", "assemble", "assemble_gauged"]
@@ -61,12 +61,11 @@ class SparseOperator:
     nbr[2a+1] map each row to its x + h*e_a and x - h*e_a neighbours.
     """
 
-    def __init__(self, grid, diag, nbr, off, *, scheme="upwind"):
+    def __init__(self, grid, diag, nbr, off):
         self.grid = grid
         self.diag = diag  # (N,)
         self.nbr = nbr  # (2*dim, N) row indices
         self.off = off  # (2*dim, N) neighbour coefficients
-        self.scheme = scheme
         self.min_offdiag = float(off.min())
 
     @property
@@ -106,49 +105,42 @@ def _neighbor_indices(grid):
     return np.stack(maps)
 
 
-def _assemble_core(grid, diffusion, drift, pot, scheme):
-    """A = diffusion*D2 + U(drift)*D1 + diag(pot) in stencil form."""
-    if scheme not in ("upwind", "centered"):
-        raise ValueError("scheme must be 'upwind' or 'centered'")
+def _assemble_core(grid, diffusion, drift, pot):
+    """A = diffusion*D2 + U(drift)*D1 + diag(pot) in stencil form, with
+    upwind differences for the drift."""
     h = grid.h
     lap = diffusion / (h * h)
     diag = np.full(grid.size, -2.0 * grid.dim * lap) + pot
     off = np.empty((2 * grid.dim, grid.size))
     for a, ba in enumerate(drift):
-        if scheme == "upwind":
-            bp = np.maximum(ba, 0.0)
-            bm = np.maximum(-ba, 0.0)
-            off[2 * a] = lap + bp / h
-            off[2 * a + 1] = lap + bm / h
-            diag -= (bp + bm) / h
-        else:
-            off[2 * a] = lap + ba / (2.0 * h)
-            off[2 * a + 1] = lap - ba / (2.0 * h)
-    return SparseOperator(grid, diag, _neighbor_indices(grid), off, scheme=scheme)
+        bp = np.maximum(ba, 0.0)
+        bm = np.maximum(-ba, 0.0)
+        off[2 * a] = lap + bp / h
+        off[2 * a + 1] = lap + bm / h
+        diag -= (bp + bm) / h
+    return SparseOperator(grid, diag, _neighbor_indices(grid), off)
 
 
-def _check_inputs(scenario, grid, eps, allow_large):
+def _check_inputs(scenario, grid, eps):
     if not eps > 0:
         raise ValueError("eps must be positive")
     if grid.dim != scenario.dim:
         raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
-    if grid.size > MAX_GRID_SIZE and not allow_large:
+    if grid.size > MAX_GRID_SIZE:
         raise GridTooLargeError(
-            "grid has %d rows (> %d); pass the override to proceed"
-            % (grid.size, MAX_GRID_SIZE)
-        )
+            "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
 
 
-def assemble(scenario, grid, eps, scheme="upwind", allow_large=False):
-    """Discrete eps*Lap + b.grad + c with the requested advection scheme."""
-    _check_inputs(scenario, grid, eps, allow_large)
+def assemble(scenario, grid, eps):
+    """Discrete eps*Lap + b.grad + c with upwind advection."""
+    _check_inputs(scenario, grid, eps)
     coords = grid.coord_arrays()
     drift = [np.asarray(scenario.b[i](*coords), dtype=float) for i in range(grid.dim)]
     pot = np.asarray(scenario.c(*coords), dtype=float)
-    return _assemble_core(grid, eps, drift, pot, scheme)
+    return _assemble_core(grid, eps, drift, pot)
 
 
-def assemble_gauged(scenario, grid, eps, scheme="upwind", allow_large=False):
+def assemble_gauged(scenario, grid, eps):
     """Transformed operator eps^2*Lap + eps*(Omega,grad) + c_eps with
     Omega = b + grad L and c_eps = eps*(c + Lap L/2) + Psi_L,
     Psi_L = (|grad L|^2 + 2*(grad L, b))/4.
@@ -156,14 +148,14 @@ def assemble_gauged(scenario, grid, eps, scheme="upwind", allow_large=False):
     Conjugation identity: exp(-L/2eps) * eps*(eps*Lap + b.grad + c) applied to
     exp(L/2eps)*w equals this operator applied to w, for smooth w.
     """
-    _check_inputs(scenario, grid, eps, allow_large)
+    _check_inputs(scenario, grid, eps)
     coords = grid.coord_arrays()
     b, gL, psi = _gauge_fields(scenario, coords)
     drift = [eps * (b[i] + gL[i]) for i in range(grid.dim)]
     pot = eps * (np.asarray(scenario.c(*coords), dtype=float)
                  + 0.5 * np.asarray(scenario.lap_L(*coords), dtype=float)
                  ) + psi
-    return _assemble_core(grid, eps * eps, drift, pot, scheme)
+    return _assemble_core(grid, eps * eps, drift, pot)
 
 
 def gauge_weight(scenario, grid):

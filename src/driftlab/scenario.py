@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ IRRATIONALITY_DEPTH = 20
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 __all__ = [
-    "Domain",
     "Point",
     "Cycle",
     "Torus",
@@ -61,16 +60,6 @@ def periodic_delta(x):
     return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(frozen=True)
-class Domain:
-    dim: int
-    period: float = TWO_PI
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ScenarioFormatError("dim must be 1, 2 or 3")
-
-
 @dataclass(frozen=True, eq=False)
 class Point:
     """Stationary point with its exact field jacobian."""
@@ -79,7 +68,6 @@ class Point:
     jacobian: np.ndarray = None
 
     kind = "point"
-    dimension = 0
 
     @property
     def is_attracting(self):
@@ -91,9 +79,6 @@ class Point:
 
     def sample(self, m):
         return self.location[None, :]
-
-    def describe(self):
-        return "point@(%s)" % ",".join("%.6g" % v for v in self.location)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +93,6 @@ class Cycle:
     transverse_matrix: np.ndarray = None  # constant normal-form matrix B
 
     kind = "cycle"
-    dimension = 1
 
     @property
     def speed(self):
@@ -139,9 +123,6 @@ class Cycle:
             d2 += dt * dt
         return np.sqrt(d2)
 
-    def describe(self):
-        return "cycle@x%d=%.6g" % (self.axis + 1, self.level)
-
 
 @dataclass(frozen=True, eq=False)
 class Torus:
@@ -153,7 +134,6 @@ class Torus:
     dim: int = 2
 
     kind = "torus"
-    dimension = 2
 
     is_attracting = True
 
@@ -165,16 +145,15 @@ class Torus:
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         return np.stack([X1.ravel(), X2.ravel()], axis=1)
 
-    def describe(self):
-        return "torus@k=(%.6g,%.6g)" % (self.k[0], self.k[1])
-
 
 class Scenario:
     """Immutable bundle of fields and declared components on a flat torus."""
 
     def __init__(self, name, dim, b, c, L, components):
         self.name = str(name)
-        self.domain = Domain(int(dim))
+        self.dim = int(dim)
+        if self.dim not in (1, 2, 3):
+            raise ScenarioFormatError("dim must be 1, 2 or 3")
         b = [e if isinstance(e, TrigExpr) else parse_expr(e) for e in b]
         if len(b) != self.dim:
             raise ScenarioFormatError(
@@ -193,10 +172,6 @@ class Scenario:
         self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
         self.lap_L = self.L.laplacian(self.dim)
         self.components = tuple(self._bind(comp) for comp in components)
-
-    @property
-    def dim(self):
-        return self.domain.dim
 
     def component_ids(self):
         return ["%d:%s" % (i, c.kind) for i, c in enumerate(self.components)]
@@ -295,10 +270,6 @@ class ValidationReport:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    @property
-    def worst_residual(self):
-        return max((c.residual for c in self.checks), default=0.0)
-
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
@@ -323,9 +294,6 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
     checks = []
     pts = scenario.grid_points(resolution)
     coords = [pts[:, i] for i in range(scenario.dim)]
-    b_vals = np.stack([scenario.b[i](*coords) for i in range(scenario.dim)], axis=1)
-    L_vals = np.asarray(scenario.L(*coords), dtype=float)
-    gL_vals = np.stack([scenario.grad_L[i](*coords) for i in range(scenario.dim)], axis=1)
 
     for idx, comp in enumerate(scenario.components):
         cid = "%d:%s" % (idx, comp.kind)
@@ -371,7 +339,7 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
                     cid + " geometry", False, 1.0, "torus components need dim 2"))
                 continue
             res = max(
-                float(np.max(np.abs(b_vals[:, i] - comp.k[i]))) for i in range(2)
+                float(np.max(np.abs(scenario.b[i](*coords) - comp.k[i]))) for i in range(2)
             )
             checks.append(ValidationCheck(
                 cid + " constant flow matches k", res <= tol, res))
@@ -386,7 +354,7 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
                 cid + " small-divisor bound", ok, max(0.0, 1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
 
-    res = max(0.0, -float(np.min(L_vals)))
+    res = max(0.0, -float(np.min(scenario.L(*coords))))
     checks.append(ValidationCheck("L nonnegative", res <= tol, res))
 
     for idx, comp in enumerate(scenario.components):
@@ -402,8 +370,10 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
             checks.append(ValidationCheck(
                 cid + " L vanishes at order 2", res <= tol, res,
                 "max(|L|, |grad L|) on the component"))
-            near = comp.distance(pts) <= NEIGHBORHOOD_RADIUS
-            decay = np.sum(b_vals[near] * gL_vals[near], axis=1)
+            near = pts[comp.distance(pts) <= NEIGHBORHOOD_RADIUS]
+            nc = [near[:, i] for i in range(scenario.dim)]
+            decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc)
+                        for i in range(scenario.dim))
             res = max(0.0, float(np.max(decay)))
             checks.append(ValidationCheck(
                 cid + " local Lyapunov decrease", res <= tol, res,

@@ -1,25 +1,12 @@
 import math
 
-import numpy as np
-import pytest
-
 from driftlab.diophantine import (
     check_declared_bound,
     continued_fraction,
-    divisor_records,
-    fit_divisor_bound,
     is_irrational,
-    min_divisor,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
-
-
-def fibonacci(n):
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
 
 
 class TestContinuedFraction:
@@ -44,51 +31,7 @@ class TestContinuedFraction:
         assert is_irrational(math.sqrt(2))
 
 
-class TestMinDivisor:
-    def test_golden_worst_divisors_are_fibonacci(self):
-        # record small divisors of (1, phi) sit at consecutive Fibonacci
-        # pairs (F_{j+1}, -F_j), with |F_{j+1} - F_j*phi| = phi^{-j}
-        records = divisor_records((1.0, PHI), 64)
-        for (m1, m2), _, val in records:
-            if abs(m1) <= 1:
-                continue
-            a, b = abs(m1), abs(m2)
-            assert np.sign(m1) != np.sign(m2)
-            j = None
-            for jj in range(2, 12):
-                if fibonacci(jj + 1) == a and fibonacci(jj) == b:
-                    j = jj
-                    break
-            assert j is not None, (m1, m2)
-            assert val == pytest.approx(PHI ** (-j), rel=1e-9)
-
-    def test_worst_at_m64(self):
-        (m1, m2), val = min_divisor((1.0, PHI), 64)
-        # largest Fibonacci pair with m1^2+m2^2 <= 64^2 is (34, -21): the
-        # next one, (55, 34), has radius sqrt(4181) > 64
-        assert (abs(m1), abs(m2)) == (34, 21)
-        assert val == pytest.approx(PHI ** (-8), rel=1e-9)
-
-    def test_rational_hits_zero(self):
-        (m1, m2), val = min_divisor((1.0, 2.0), 16)
-        assert val == 0.0
-        assert (m1, m2) in {(-2, 1), (2, -1)}
-
-    def test_scaling_linearity(self):
-        _, v1 = min_divisor((1.0, PHI), 32)
-        _, v2 = min_divisor((2.0, 2 * PHI), 32)
-        assert v2 == pytest.approx(2 * v1, rel=1e-12)
-
-
 class TestBoundFit:
-    def test_fit_on_golden(self):
-        b = fit_divisor_bound((1.0, PHI), 64)
-        # |F_{j+1} - F_j phi| = phi^{-j} and r2 ~ F_j^2 phi^2 gives alpha -> 1/2
-        assert 0.4 <= b.alpha <= 0.65
-        assert b.C > 0.3
-        ok, margin = check_declared_bound((1.0, PHI), 64, b.C, b.alpha)
-        assert ok and margin >= 1.0
-
     def test_declared_constants_hold(self):
         ok, margin = check_declared_bound((1.0, PHI), 64, 0.5, 0.5)
         assert ok, margin

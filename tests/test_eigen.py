@@ -40,7 +40,7 @@ class CountingOperator(SparseOperator):
     """The same stencil operator, counting its apply calls."""
 
     def __init__(self, op):
-        super().__init__(op.grid, op.diag, op.nbr, op.off, scheme=op.scheme)
+        super().__init__(op.grid, op.diag, op.nbr, op.off)
         self.applies = 0
 
     def apply(self, x, out=None):
@@ -48,10 +48,17 @@ class CountingOperator(SparseOperator):
         return super().apply(x, out=out)
 
 
+def with_negative_coupling(op):
+    """The same stencil operator with one neighbour coupling made negative."""
+    off = op.off.copy()
+    off[0, 3] = -1e-3
+    return SparseOperator(op.grid, op.diag, op.nbr, off)
+
+
 class TestPreconditions:
     def test_non_metzler_rejected(self):
         s = builtin_scenario("stable-point")
-        op = assemble(s, Grid(1, 16), 0.01, scheme="centered")
+        op = with_negative_coupling(assemble(s, Grid(1, 16), 0.1))
         assert not op.is_metzler
         with pytest.raises(NonMetzlerError):
             principal_eigenpair(op)
@@ -201,11 +208,14 @@ class TestSweep:
             assert e.lam == pytest.approx(1.25, abs=1e-10)
 
     def test_warm_start_invariance(self):
+        # the sweep starts each solve from the previous u; independent cold
+        # solves must give the same eigenvalues
         s = builtin_scenario("stable-point")
-        warm = eigen_sweep(s, 64, [0.2, 0.1, 0.05], tol=1e-11, warm_start=True)
-        cold = eigen_sweep(s, 64, [0.2, 0.1, 0.05], tol=1e-11, warm_start=False)
-        for a, b in zip(warm, cold):
-            assert a.lam == pytest.approx(b.lam, abs=1e-10)
+        g = Grid(1, 64)
+        entries = eigen_sweep(s, 64, [0.2, 0.1, 0.05], tol=1e-11)
+        for e in entries:
+            cold = principal_eigenpair(assemble(s, g, e.eps), tol=1e-11)
+            assert e.lam == pytest.approx(cold.lam, abs=1e-10)
 
     def test_schedule_validation(self):
         s = builtin_scenario("stable-point")
@@ -214,14 +224,20 @@ class TestSweep:
         with pytest.raises(ScheduleError):
             eigen_sweep(s, 32, [0.2, -0.1])
 
-    def test_per_entry_error_propagation(self):
-        # centered scheme stays Metzler at eps=0.2 on n=16 but loses it at
-        # eps=0.1; the sweep must keep the good entry and record the failure
+    def test_per_entry_error_propagation(self, monkeypatch):
+        # a non-Metzler operator at eps=0.1 only: the sweep must keep the good
+        # entries and record the failure on its own entry
+        def assemble_broken_at(scenario, grid, eps):
+            op = assemble(scenario, grid, eps)
+            return with_negative_coupling(op) if eps == 0.1 else op
+
+        monkeypatch.setattr(eigen, "assemble", assemble_broken_at)
         s = builtin_scenario("stable-point")
-        entries = eigen_sweep(s, 16, [0.2, 0.1], scheme="centered")
+        entries = eigen_sweep(s, 16, [0.2, 0.1, 0.05])
         assert entries[0].ok
-        assert not entries[1].ok
+        assert not entries[1].ok and entries[1].pair is None
         assert "NonMetzler" in entries[1].error
+        assert entries[2].ok
 
 
 class TestExtrapolation:

@@ -121,18 +121,6 @@ class TestMetzler:
                     assert op.min_offdiag >= 0.0, (s.name, eps, n)
                     assert op.is_irreducible
 
-    def test_centered_depends_on_resolution(self):
-        s = builtin_scenario("stable-point")
-        fine = assemble(s, Grid(1, 16), 0.5, scheme="centered")
-        assert fine.is_metzler  # h = 0.39 < 2*eps/max|b| = 1
-        coarse = assemble(s, Grid(1, 16), 0.01, scheme="centered")
-        assert not coarse.is_metzler
-
-    def test_bad_scheme_rejected(self):
-        s = builtin_scenario("stable-point")
-        with pytest.raises(ValueError):
-            assemble(s, Grid(1, 16), 0.1, scheme="lax")
-
 
 class TestConsistencyOrder:
     @pytest.mark.parametrize("name", ["stable-point", "stable-cycle"])

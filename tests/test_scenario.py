@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SINK_3D
 from driftlab.diophantine import continued_fraction
+from driftlab.expr import TrigExpr
 from driftlab.scenario import (
     BUILTIN_NAMES,
     Cycle,
@@ -69,6 +71,20 @@ class TestValidation:
         report = validate_scenario(s)
         names = [c.name for c in report.failures()]
         assert any("irrational" in n for n in names)
+
+    def test_fields_evaluated_where_checked(self, monkeypatch):
+        # L is needed on the whole 64^3 grid, b . grad L only near the sink:
+        # two whole-grid fields are already more than validation evaluates
+        points = []
+        call = TrigExpr.__call__
+
+        def counting(self, *coords):
+            points.append(max((np.size(c) for c in coords), default=1))
+            return call(self, *coords)
+
+        monkeypatch.setattr(TrigExpr, "__call__", counting)
+        assert validate_scenario(scenario_from_dict(SINK_3D)).passed
+        assert sum(points) < 2 * 64**3
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
