@@ -63,6 +63,13 @@ class TestPreconditions:
         with pytest.raises(NonMetzlerError):
             principal_eigenpair(op)
 
+    def test_non_metzler_message_reports_min_offdiag(self):
+        s = builtin_scenario("stable-point")
+        op = with_negative_coupling(assemble(s, Grid(1, 16), 0.1))
+        assert op.min_offdiag == -1e-3
+        with pytest.raises(NonMetzlerError, match="-0.001 < 0"):
+            principal_eigenpair(op)
+
     def test_reducible_rejected(self):
         s = bare_scenario(1, ["0"], "0")
         base = assemble(s, Grid(1, 8), 0.1)
