@@ -40,9 +40,9 @@ def continued_fraction(x, max_terms=40):
 
 
 def is_irrational(x, depth=20):
-    """True when the continued fraction of x reaches `depth` terms without
-    terminating; working-precision proxy for irrationality."""
-    return len(continued_fraction(x, max_terms=depth)) >= depth
+    """True when x is finite and its continued fraction reaches `depth` terms
+    without terminating; working-precision proxy for irrationality."""
+    return math.isfinite(x) and len(continued_fraction(x, max_terms=depth)) >= depth
 
 
 def _divisor_grid(k, M):
@@ -59,8 +59,11 @@ def _divisor_grid(k, M):
 def check_declared_bound(k, M, C, alpha):
     """Verify |m.k| >= C*(m1^2+m2^2)^(-alpha) for all 0 < |m| <= M.
 
-    Returns (ok, margin) with margin = min |m.k|*(m1^2+m2^2)^alpha / C.
+    Returns (ok, margin) with margin = min |m.k|*(m1^2+m2^2)^alpha / C. The
+    hypothesis needs C > 0, so any other C fails with margin 0.
     """
+    if not C > 0:
+        return False, 0.0
     r2, divs = _divisor_grid(k, M)
     margin = float(np.min(divs * r2**float(alpha)) / float(C))
     return margin >= 1.0, margin

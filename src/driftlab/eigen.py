@@ -87,7 +87,10 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
-    V[0] = x / math.sqrt(np.sum(x * x))
+    norm = math.sqrt(np.sum(x * x))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("x0 must be finite and nonzero")
+    V[0] = x / norm
     j = 0  # basis vectors with their column of H
     calls = 0
     best = best_key = None

@@ -22,7 +22,6 @@ __all__ = [
     "TrigExpr",
     "ExprSyntaxError",
     "parse_expr",
-    "trig_monomial",
 ]
 
 
@@ -110,24 +109,6 @@ class TrigExpr:
                         nv = i + 1
                         break
         return nv
-
-    @property
-    def max_abs_freq(self):
-        m = 0
-        for _, factors in self.terms:
-            for _, freq, _ in factors:
-                for k in freq:
-                    if abs(k) > m:
-                        m = abs(k)
-        return m
-
-    def is_constant(self):
-        return all(not f for _, f in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("expression is not constant")
-        return self.terms[0][0] if self.terms else 0.0
 
     # -- evaluation --------------------------------------------------------
 
@@ -331,13 +312,6 @@ def _factor_str(factor):
         pieces.append(("- " if phase < 0 else "+ ") + repr(abs(phase)))
     name = "sin" if kind == SIN else "cos"
     return "%s(%s)" % (name, " ".join(pieces))
-
-
-def trig_monomial(kind, freq, phase=0.0):
-    """Single-factor expression sin/cos(freq.x + phase); kind in {"sin","cos"}."""
-    k = SIN if kind == "sin" else COS
-    f = tuple(freq) + (0,) * (_NVARS - len(freq))
-    return TrigExpr([(1.0, ((k, f, float(phase)),))])
 
 
 # -- parser ------------------------------------------------------------------

@@ -10,12 +10,14 @@ eigenvector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridTooLargeError
-from .scenario import TWO_PI
+
+TWO_PI = 2.0 * math.pi
 
 # refuse grids with more rows than this
 MAX_GRID_SIZE = 2**24

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import check_declared_bound, continued_fraction
+from .diophantine import check_declared_bound, is_irrational
 from .expr import TrigExpr, parse_expr
-
-TWO_PI = 2.0 * math.pi
+from .operator import TWO_PI, Grid
 
 # |Re eigenvalue| below this is treated as a zero real part (not hyperbolic)
 HYPERBOLICITY_TOL = 1e-6
@@ -28,6 +27,10 @@ NEIGHBORHOOD_RADIUS = 0.5
 # continued-fraction depth required to accept a frequency ratio as irrational
 IRRATIONALITY_DEPTH = 20
 
+# points per axis of the validation mesh, and the residual a check allows
+VALIDATION_RESOLUTION = 64
+VALIDATION_TOL = 1e-8
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 __all__ = [
@@ -36,10 +39,8 @@ __all__ = [
     "Torus",
     "Scenario",
     "ScenarioFormatError",
-    "FieldValues",
     "ValidationCheck",
     "ValidationReport",
-    "eval_field",
     "validate_scenario",
     "builtin_scenario",
     "builtin_scenarios",
@@ -203,50 +204,6 @@ class Scenario:
                          dim=self.dim, transverse_matrix=B)
         return comp
 
-    def with_potential(self, c):
-        """Same scenario with a replaced potential c."""
-        return Scenario(self.name, self.dim, self.b, c, self.L,
-                        [_unbind(comp) for comp in self.components])
-
-    def grid_points(self, n):
-        x = TWO_PI * np.arange(n) / n
-        mesh = np.meshgrid(*([x] * self.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _unbind(comp):
-    if isinstance(comp, Point):
-        return Point(location=comp.location)
-    if isinstance(comp, Cycle):
-        return Cycle(axis=comp.axis, level=comp.level, period=comp.period, dim=comp.dim)
-    return comp
-
-
-@dataclass(frozen=True)
-class FieldValues:
-    b: np.ndarray
-    c: float
-    L: float
-    grad_L: np.ndarray
-    lap_L: float
-    Db: np.ndarray
-
-
-def eval_field(scenario, point):
-    """All coefficient fields and their exact derivatives at one point."""
-    p = [float(v) for v in point]
-    if len(p) != scenario.dim:
-        raise ValueError("point has %d coordinates, expected %d" % (len(p), scenario.dim))
-    d = scenario.dim
-    return FieldValues(
-        b=np.array([scenario.b[i](*p) for i in range(d)]),
-        c=scenario.c(*p),
-        L=scenario.L(*p),
-        grad_L=np.array([scenario.grad_L[i](*p) for i in range(d)]),
-        lap_L=scenario.lap_L(*p),
-        Db=np.array([[scenario.db[i][j](*p) for j in range(d)] for i in range(d)]),
-    )
-
 
 # -- validation ----------------------------------------------------------------
 
@@ -287,18 +244,17 @@ class ValidationReport:
         }
 
 
-def validate_scenario(scenario, resolution=64, tol=1e-8):
+def validate_scenario(scenario):
     """Numerically re-check the declared structure; failures are non-fatal."""
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    tol = VALIDATION_TOL
     checks = []
-    pts = scenario.grid_points(resolution)
-    coords = [pts[:, i] for i in range(scenario.dim)]
+    pts = np.stack(Grid(scenario.dim, VALIDATION_RESOLUTION).coord_arrays(), axis=1)
+    coords = [pts[:, i] for i in range(scenario.dim)]  # views: one copy of the mesh
+    ids = scenario.component_ids()
 
-    for idx, comp in enumerate(scenario.components):
-        cid = "%d:%s" % (idx, comp.kind)
+    for cid, comp in zip(ids, scenario.components):
         if comp.kind == "point":
-            res = float(np.max(np.abs(eval_field(scenario, comp.location).b)))
+            res = float(np.max(np.abs([f(*comp.location) for f in scenario.b])))
             checks.append(ValidationCheck(
                 cid + " field vanishes", res <= tol, res))
             re_parts = np.abs(np.real(np.linalg.eigvals(comp.jacobian)))
@@ -343,12 +299,11 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
             )
             checks.append(ValidationCheck(
                 cid + " constant flow matches k", res <= tol, res))
-            ratio = comp.k[0] / comp.k[1]
-            depth = len(continued_fraction(ratio, max_terms=IRRATIONALITY_DEPTH))
+            k1, k2 = (float(v) for v in comp.k)
+            ok = k2 != 0 and is_irrational(k1 / k2, IRRATIONALITY_DEPTH)
             checks.append(ValidationCheck(
-                cid + " irrational ratio", depth >= IRRATIONALITY_DEPTH,
-                0.0 if depth >= IRRATIONALITY_DEPTH else 1.0,
-                "continued fraction depth %d" % depth))
+                cid + " irrational ratio", ok, 0.0 if ok else 1.0,
+                "continued fraction of k1/k2 needs %d terms" % IRRATIONALITY_DEPTH))
             ok, margin = check_declared_bound(comp.k, 64, comp.C, comp.alpha)
             checks.append(ValidationCheck(
                 cid + " small-divisor bound", ok, max(0.0, 1.0 - margin),
@@ -357,8 +312,7 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
     res = max(0.0, -float(np.min(scenario.L(*coords))))
     checks.append(ValidationCheck("L nonnegative", res <= tol, res))
 
-    for idx, comp in enumerate(scenario.components):
-        cid = "%d:%s" % (idx, comp.kind)
+    for cid, comp in zip(ids, scenario.components):
         on = comp.sample(256)
         cc = [on[:, i] for i in range(scenario.dim)]
         gmax = max(
@@ -383,7 +337,7 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
                 cid + " L critical point", gmax <= tol, gmax,
                 "max |grad L| on the component"))
 
-    return ValidationReport(scenario.name, resolution, tol, tuple(checks))
+    return ValidationReport(scenario.name, VALIDATION_RESOLUTION, tol, tuple(checks))
 
 
 # -- builtins --------------------------------------------------------------------
@@ -391,17 +345,15 @@ def validate_scenario(scenario, resolution=64, tol=1e-8):
 BUILTIN_NAMES = ("stable-point", "stable-cycle", "irrational-torus", "mixed")
 
 
-def builtin_scenario(name, c=None, gap=0.5):
-    """Construct one of the reference scenarios.
-
-    c overrides the default potential (string or TrigExpr); gap sets the
-    pressure difference between cycle and point in "mixed".
+def builtin_scenario(name, gap=0.5):
+    """Construct one of the reference scenarios; gap sets the pressure
+    difference between cycle and point in "mixed".
     """
     if name == "stable-point":
         return Scenario(
             name, 1,
             b=["-sin(x1)"],
-            c=c if c is not None else "cos(x1)",
+            c="cos(x1)",
             L="1 - cos(x1)",
             components=[
                 Point(location=np.array([0.0])),
@@ -412,7 +364,7 @@ def builtin_scenario(name, c=None, gap=0.5):
         return Scenario(
             name, 2,
             b=["1", "-sin(x2)"],
-            c=c if c is not None else "cos(x1)",
+            c="cos(x1)",
             L="1 - cos(x2)",
             components=[
                 Cycle(axis=0, level=0.0, period=TWO_PI, dim=2),
@@ -423,7 +375,7 @@ def builtin_scenario(name, c=None, gap=0.5):
         return Scenario(
             name, 2,
             b=["1", repr(PHI)],
-            c=c if c is not None else "cos(x1)",
+            c="cos(x1)",
             L="0",
             components=[Torus(k=np.array([1.0, PHI]), C=0.5, alpha=0.5)],
         )
@@ -439,7 +391,7 @@ def builtin_scenario(name, c=None, gap=0.5):
                 " - 0.25*cos(x2)*cos(x2)*sin(x1)",
                 "-sin(2*x2)",
             ],
-            c=c if c is not None else cycle_c,
+            c=cycle_c,
             L="2 - cos(x1) - cos(x2) + cos(x1)*cos(x2) - cos(x2)*cos(x2)",
             components=[
                 Cycle(axis=0, level=0.0, period=TWO_PI, dim=2),
@@ -456,15 +408,28 @@ def builtin_scenarios():
 # -- JSON form --------------------------------------------------------------------
 
 
+def _integer(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%r is not an integer" % (value,))
+    return value
+
+
+def _finite(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("%r is not finite" % (value,))
+    return x
+
+
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     try:
         name = data["name"]
-        dim = int(data["dim"])
-        b = list(data["b"])
-        c = data["c"]
-        L = data["L"]
+        dim = _integer(data["dim"])
+        b, c, L = data["b"], data["c"], data["L"]
+        if not isinstance(b, list) or not all(isinstance(e, str) for e in (*b, c, L)):
+            raise TypeError("b must be a list of expression strings, c and L strings")
         raw_components = data.get("components", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError("missing or malformed scenario field: %s" % exc)
@@ -475,23 +440,24 @@ def scenario_from_dict(data):
         kind = cd["type"]
         try:
             if kind == "point":
-                components.append(Point(location=np.asarray(cd["location"], dtype=float)))
+                location = np.array([_finite(v) for v in cd["location"]])
+                components.append(Point(location=location))
             elif kind == "cycle":
                 components.append(Cycle(
-                    axis=int(cd["axis"]) - 1,
-                    level=float(cd["level"]),
-                    period=float(cd["period"]),
+                    axis=_integer(cd["axis"]) - 1,
+                    level=_finite(cd["level"]),
+                    period=_finite(cd["period"]),
                     dim=dim,
                 ))
             elif kind == "torus":
                 components.append(Torus(
-                    k=np.asarray(cd["k"], dtype=float),
-                    C=float(cd["C"]),
-                    alpha=float(cd["alpha"]),
+                    k=np.array([_finite(v) for v in cd["k"]]),
+                    C=_finite(cd["C"]),
+                    alpha=_finite(cd["alpha"]),
                 ))
             else:
                 raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ScenarioFormatError):
                 raise
             raise ScenarioFormatError("component %d malformed: %s" % (i, exc))

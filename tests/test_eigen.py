@@ -22,6 +22,7 @@ from driftlab.scenario import (
     builtin_scenarios,
     load_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
 
 
@@ -84,6 +85,13 @@ class TestPreconditions:
         op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
         with pytest.raises(ValueError):
             principal_eigenpair(op, max_iter=1)
+
+    @pytest.mark.parametrize("fill", [0.0, math.nan], ids=["zero", "nan"])
+    def test_bad_start_vector_rejected(self, fill):
+        op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
+        with pytest.raises(ValueError, match="x0"):
+            principal_eigenpair(op, x0=np.full(16, fill))
+        assert op.applies == 0
 
 
 class TestMemoryGuard:
@@ -193,7 +201,9 @@ class TestPairProperties:
         s = builtin_scenario("stable-cycle")
         op = assemble(s, Grid(2, 32), 0.1)
         pair = principal_eigenpair(op, tol=1e-10)
-        s2 = s.with_potential(s.c + 0.7)
+        shifted = scenario_to_dict(s)
+        shifted["c"] = "cos(x1) + 0.7"
+        s2 = scenario_from_dict(shifted)
         op2 = assemble(s2, Grid(2, 32), 0.1)
         pair2 = principal_eigenpair(op2, tol=1e-10)
         assert pair2.lam - pair.lam == pytest.approx(0.7, abs=1e-10)

@@ -7,7 +7,6 @@ from driftlab.expr import (
     ExprSyntaxError,
     TrigExpr,
     parse_expr,
-    trig_monomial,
 )
 
 
@@ -248,18 +247,3 @@ class TestLineProfile:
             np.testing.assert_allclose(recon.imag, 0, atol=1e-12)
             np.testing.assert_allclose(recon.real, direct, atol=1e-11)
 
-
-class TestMonomialHelper:
-    def test_monomial_values(self):
-        m = trig_monomial("sin", (1, -2))
-        x = 0.4
-        y = 1.1
-        assert m(x, y) == pytest.approx(math.sin(x - 2 * y), abs=1e-15)
-
-    def test_structure_props(self):
-        m = trig_monomial("cos", (0, 0, 2))
-        assert m.nvars == 3
-        assert m.max_abs_freq == 2
-        assert not m.is_constant()
-        c = TrigExpr.constant(4.25)
-        assert c.is_constant() and c.constant_value() == 4.25

@@ -9,13 +9,12 @@ from driftlab.diophantine import continued_fraction
 from driftlab.expr import TrigExpr
 from driftlab.scenario import (
     BUILTIN_NAMES,
+    PHI,
     Cycle,
-    Point,
     ScenarioFormatError,
     Torus,
     builtin_scenario,
     builtin_scenarios,
-    eval_field,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -23,36 +22,90 @@ from driftlab.scenario import (
 )
 
 
-class TestEvalField:
+# the check names of each report, in order
+REPORT_CHECKS = {
+    "stable-point": [
+        "0:point field vanishes", "0:point hyperbolic",
+        "1:point field vanishes", "1:point hyperbolic",
+        "L nonnegative",
+        "0:point L vanishes at order 2", "0:point local Lyapunov decrease",
+        "1:point L critical point",
+    ],
+    "stable-cycle": [
+        "0:cycle orbit of the field", "0:cycle hyperbolic", "0:cycle constant normal form",
+        "1:cycle orbit of the field", "1:cycle hyperbolic", "1:cycle constant normal form",
+        "L nonnegative",
+        "0:cycle L vanishes at order 2", "0:cycle local Lyapunov decrease",
+        "1:cycle L critical point",
+    ],
+    "irrational-torus": [
+        "0:torus constant flow matches k", "0:torus irrational ratio",
+        "0:torus small-divisor bound",
+        "L nonnegative",
+        "0:torus L vanishes at order 2", "0:torus local Lyapunov decrease",
+    ],
+    "mixed": [
+        "0:cycle orbit of the field", "0:cycle hyperbolic", "0:cycle constant normal form",
+        "1:point field vanishes", "1:point hyperbolic",
+        "L nonnegative",
+        "0:cycle L vanishes at order 2", "0:cycle local Lyapunov decrease",
+        "1:point L vanishes at order 2", "1:point local Lyapunov decrease",
+    ],
+    "sink-3d": [
+        "0:point field vanishes", "0:point hyperbolic",
+        "L nonnegative",
+        "0:point L vanishes at order 2", "0:point local Lyapunov decrease",
+    ],
+}
+
+
+def torus_scenario(k, C):
+    return scenario_from_dict({
+        "name": "torus", "dim": 2, "b": [repr(v) for v in k], "c": "0", "L": "0",
+        "components": [{"type": "torus", "k": k, "C": C, "alpha": 0.5}],
+    })
+
+
+class TestFields:
     def test_point_linearization(self):
         s = builtin_scenario("stable-point")
-        f = eval_field(s, [0.0])
-        assert f.b[0] == 0.0
-        assert f.Db[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert s.b[0](0.0) == 0.0
+        assert s.db[0][0](0.0) == pytest.approx(-1.0, abs=1e-15)
 
     def test_weight_taylor(self):
         s = builtin_scenario("stable-cycle")
-        f = eval_field(s, [1.3, 0.0])
-        assert f.L == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(f.grad_L, [0.0, 0.0], atol=1e-15)
-        assert f.lap_L == pytest.approx(1.0, abs=1e-15)
+        p = (1.3, 0.0)
+        assert s.L(*p) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose([g(*p) for g in s.grad_L], [0.0, 0.0], atol=1e-15)
+        assert s.lap_L(*p) == pytest.approx(1.0, abs=1e-15)
 
     def test_potential_value(self):
         s = builtin_scenario("stable-point")
-        f = eval_field(s, [math.pi / 3])
-        assert f.c == pytest.approx(0.5, abs=1e-15)
-
-    def test_dimension_checked(self):
-        s = builtin_scenario("stable-cycle")
-        with pytest.raises(ValueError):
-            eval_field(s, [0.0])
+        assert s.c(math.pi / 3) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestValidation:
     def test_all_builtins_pass(self):
         for s in builtin_scenarios():
-            report = validate_scenario(s, 64, 1e-8)
+            report = validate_scenario(s)
             assert report.passed, [c.name for c in report.failures()]
+
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_check_names_pinned(self, name):
+        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        assert [c.name for c in validate_scenario(s).checks] == REPORT_CHECKS[name]
+
+    @pytest.mark.parametrize("k, C, failed", [
+        ([1.0, 0.0], 0.5, "0:torus irrational ratio"),
+        ([0.0, 0.0], 0.5, "0:torus irrational ratio"),
+        ([1e300, 1e-10], 0.5, "0:torus irrational ratio"),
+        ([1.0, PHI], 0.0, "0:torus small-divisor bound"),
+        ([1.0, PHI], -0.5, "0:torus small-divisor bound"),
+    ], ids=["k2-zero", "k-zero", "ratio-overflow", "C-zero", "C-negative"])
+    def test_degenerate_torus_fails_its_check(self, k, C, failed):
+        # a numpy warning on the way fails this too: the suite makes warnings errors
+        report = validate_scenario(torus_scenario(k, C))
+        assert failed in [c.name for c in report.failures()]
 
     def test_constant_field_fails_point_check(self):
         s = load_scenario({
@@ -86,15 +139,11 @@ class TestValidation:
         assert validate_scenario(scenario_from_dict(SINK_3D)).passed
         assert sum(points) < 2 * 64**3
 
-    def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            validate_scenario(builtin_scenario("stable-point"), resolution=8)
-
     def test_report_dict_shape(self):
-        report = validate_scenario(builtin_scenario("stable-point"), 32, 1e-8)
+        report = validate_scenario(builtin_scenario("stable-point"))
         d = report.to_dict()
         assert d["passed"] is True
-        assert d["resolution"] == 32
+        assert d["resolution"] == 64 and d["tol"] == 1e-8
         assert all({"name", "passed", "residual", "detail"} <= set(c) for c in d["checks"])
 
 
@@ -107,8 +156,7 @@ class TestBuiltins:
         s = builtin_scenario("stable-cycle")
         cyc = s.components[0]
         assert isinstance(cyc, Cycle)
-        f = eval_field(s, [0.7, 0.0])
-        np.testing.assert_allclose(f.b, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose([f(0.7, 0.0) for f in s.b], [1.0, 0.0], atol=1e-15)
         assert cyc.speed == pytest.approx(1.0)
         assert cyc.transverse_matrix[0, 0] == pytest.approx(-1.0, abs=1e-15)
         unstable = s.components[1]
@@ -135,12 +183,11 @@ class TestBuiltins:
         assert cyc.transverse_matrix[0, 0] == pytest.approx(-2.0, abs=1e-14)
         np.testing.assert_allclose(
             sorted(np.linalg.eigvals(pt.jacobian).real), [-2.0, -1.0], atol=1e-14)
-        f = eval_field(s, pt.location)
-        np.testing.assert_allclose(f.b, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose([f(*pt.location) for f in s.b], [0.0, 0.0], atol=1e-15)
 
     def test_mixed_gap_parameter(self):
         s0 = builtin_scenario("mixed", gap=0.0)
-        assert s0.c.is_constant() and s0.c.constant_value() == 0.0
+        assert s0.c == TrigExpr.zero()
         s1 = builtin_scenario("mixed", gap=0.8)
         assert s1.c(0.0, 0.0) == pytest.approx(0.4, abs=1e-15)
 
@@ -154,12 +201,6 @@ class TestBuiltins:
                 for e in (*s.b, s.c, s.L):
                     assert abs(e(*p) - e(*q)) <= 1e-12
 
-    def test_with_potential(self):
-        s = builtin_scenario("stable-point").with_potential("cos(x1) + 0.7")
-        assert s.c(0.0) == pytest.approx(1.7, abs=1e-15)
-        assert str(s.L) == str(builtin_scenario("stable-point").L)
-        assert validate_scenario(s).passed
-
 
 class TestJsonForm:
     def test_round_trip_builtins(self):
@@ -167,8 +208,7 @@ class TestJsonForm:
             d = scenario_to_dict(s)
             back = scenario_from_dict(json.loads(json.dumps(d)))
             assert scenario_to_dict(back) == d
-            assert validate_scenario(back, 32, 1e-8).passed == \
-                validate_scenario(s, 32, 1e-8).passed
+            assert validate_scenario(back).passed == validate_scenario(s).passed
 
     def test_file_loading(self, tmp_path):
         d = scenario_to_dict(builtin_scenario("stable-cycle"))
@@ -210,6 +250,29 @@ class TestJsonForm:
         })
         report = validate_scenario(s)
         assert not report.passed
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "x", "dim": 1, "b": "1", "c": "0", "L": "0"}',
+        '{"name": "x", "dim": 1, "b": "-sin(x1)", "c": "0", "L": "0"}',
+        '{"name": "x", "dim": 2.5, "b": ["1", "0"], "c": "0", "L": "0"}',
+        '{"name": "x", "dim": 1, "b": ["1"], "c": 1.5, "L": "0"}',
+        '{"name": "x", "dim": 1, "b": ["0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "point", "location": [NaN]}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "cycle", "axis": 1, "level": NaN, "period": 6.28}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": Infinity}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, NaN], "C": 0.5, "alpha": 0.5}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": Infinity, "alpha": 0.5}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": -Infinity}]}',
+    ], ids=["b-string", "b-expression-string", "dim-float", "c-number", "location-nan",
+            "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf"])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ScenarioFormatError):
+            scenario_from_dict(json.loads(text))
 
     def test_cycle_axis_range(self):
         with pytest.raises(ScenarioFormatError):
