@@ -58,9 +58,9 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
     [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide. `iterations` counts
     every op.apply call, at most max_iter of them. When they run out, or
-    the bracket stops narrowing for STALL_CYCLES cycles, the iterate with the
-    narrowest bracket (without one, the smallest residual) is returned,
-    flagged uncertified.
+    STALL_CYCLES cycles in a row improve neither the bracket width nor, at
+    equal width, the residual, the iterate with the narrowest bracket
+    (without one, the smallest residual) is returned, flagged uncertified.
     """
     if not op.is_metzler:
         raise NonMetzlerError(
@@ -87,10 +87,17 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
-    norm = math.sqrt(np.sum(x * x))
-    if not 0.0 < norm < math.inf:
-        raise ValueError("x0 must be finite and nonzero")
-    V[0] = x / norm
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.sum(x * x)
+    if not np.finfo(float).tiny <= squares < math.inf:
+        # zero, not finite, or a squared norm that over- or underflowed:
+        # only the last is a valid start, once scaled by max|x|
+        scale = np.max(np.abs(x))
+        if not 0.0 < scale < math.inf:
+            raise ValueError("x0 must be finite and nonzero")
+        x = x / scale
+        squares = np.sum(x * x)
+    V[0] = x / math.sqrt(squares)
     j = 0  # basis vectors with their column of H
     calls = 0
     best = best_key = None
@@ -134,8 +141,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         key = (hi - lo, residual)
         if best is None or key < best_key:
             best, best_key, stale = (lam, u, residual, certified, lo, hi), key, 0
-        elif math.isfinite(best_key[0]):
-            stale += 1  # a bracket that stops narrowing has hit rounding
+        else:
+            stale += 1  # neither bracket nor residual improves: rounding
         if certified or invariant or stale == STALL_CYCLES or max_iter - calls < 2:
             break
         if j == m:

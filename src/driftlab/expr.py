@@ -113,6 +113,14 @@ class TrigExpr:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, *coords):
+        """Value at broadcast coordinates.
+
+        Terms and angles start from the scalar coefficient and phase, so a
+        factor broadcasts only the axes it uses: on an open mesh
+        (Grid.open_mesh) a factor in x1 alone runs sin/cos on n points, and
+        only the products and the sum are full-grid arrays. The arithmetic
+        per element is the same for any broadcast shape.
+        """
         nv = self.nvars
         if len(coords) < nv:
             raise ValueError(
@@ -124,9 +132,9 @@ class TrigExpr:
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
         acc = np.zeros(shape)
         for coeff, factors in self.terms:
-            term = np.full(shape, coeff)
+            term = coeff
             for kind, freq, phase in factors:
-                angle = np.full(shape, phase)
+                angle = phase
                 for i, k in enumerate(freq):
                     if k != 0:
                         angle = angle + k * arrs[i]

@@ -1,12 +1,13 @@
 """Finite-difference assembly of eps*Lap + b.grad + c on uniform periodic grids.
 
 The operator is stored in stencil form: a diagonal and, for each of the 2*dim
-periodic neighbours x + h*e_a and x - h*e_a, a row-index map and one
-coefficient per row. The mat-vec sums the neighbour terms in that fixed
-order, so its result is deterministic. Upwind advection keeps every
-off-diagonal entry nonnegative for any eps and h, which is what gives the
-discrete operator a real simple leading eigenvalue with a positive
-eigenvector.
+periodic neighbours x + h*e_a and x - h*e_a, one coefficient per row. The
+neighbours are fixed periodic shifts of the (n,)*dim grid array, so no row
+index map is stored: the mat-vec copies each shift by slices and sums the
+neighbour terms in that fixed order, so its result is deterministic. Upwind
+advection keeps every off-diagonal entry nonnegative for any eps and h, which
+is what gives the discrete operator a real simple leading eigenvalue with a
+positive eigenvector.
 """
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ class Grid:
         mesh = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
         return [m.ravel() for m in mesh]
 
+    def open_mesh(self):
+        """dim broadcastable axis arrays, the a-th of shape (n,) along axis a
+        and 1 elsewhere; fields evaluated on them have shape (n,)*dim."""
+        return np.meshgrid(*([self.axis()] * self.dim), indexing="ij", sparse=True)
+
     def flat_index(self, multi):
         return int(np.ravel_multi_index([m % self.n for m in multi], (self.n,) * self.dim))
 
@@ -59,16 +65,17 @@ class Grid:
 class SparseOperator:
     """Stencil-form sparse matrix on a periodic grid.
 
-    Row r is diag[r]*x[r] + sum_k off[k, r]*x[nbr[k, r]], where nbr[2a] and
-    nbr[2a+1] map each row to its x + h*e_a and x - h*e_a neighbours.
+    Row r is diag[r]*x[r] + sum_k off[k, r]*x[r_k], where r_k is the row of
+    the x + h*e_a neighbour for k = 2a and of the x - h*e_a neighbour for
+    k = 2a + 1, rows numbered row-major on the (n,)*dim grid.
     """
 
-    def __init__(self, grid, diag, nbr, off):
+    def __init__(self, grid, diag, off):
         self.grid = grid
         self.diag = diag  # (N,)
-        self.nbr = nbr  # (2*dim, N) row indices
         self.off = off  # (2*dim, N) neighbour coefficients
         self.min_offdiag = float(off.min())
+        self._shifts = _shift_slices(grid)
 
     @property
     def is_metzler(self):
@@ -85,26 +92,41 @@ class SparseOperator:
         if x.shape != (self.grid.size,):
             raise ValueError("vector length %d, expected %d" % (x.size, self.grid.size))
         out = np.multiply(self.diag, x, out=out)
-        for nbr, off in zip(self.nbr, self.off):
-            out += off * x[nbr]
+        grid_x = x.reshape((self.grid.n,) * self.grid.dim)
+        shifted = np.empty(grid_x.shape)
+        flat = shifted.reshape(-1)
+        for off, pairs in zip(self.off, self._shifts):
+            for dst, src in pairs:
+                shifted[dst] = grid_x[src]
+            out += np.multiply(flat, off, out=flat)
         return out
 
     def to_dense(self):
-        rows = np.arange(self.grid.size)
+        grid = self.grid
+        idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
+        rows = idx.ravel()
         dense = np.diag(self.diag)
-        for nbr, off in zip(self.nbr, self.off):
-            dense[rows, nbr] += off
+        for a in range(grid.dim):
+            for k, step in ((2 * a, -1), (2 * a + 1, 1)):  # x + h*e_a, x - h*e_a
+                dense[rows, np.roll(idx, step, axis=a).ravel()] += self.off[k]
         return dense
 
 
-def _neighbor_indices(grid):
-    """(2*dim, N) row indices of x + h*e_a and x - h*e_a, axis by axis."""
-    idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
-    maps = []
-    for a in range(grid.dim):
-        maps.append(np.roll(idx, -1, axis=a).ravel())  # index of x + h*e_a
-        maps.append(np.roll(idx, +1, axis=a).ravel())  # index of x - h*e_a
-    return np.stack(maps)
+def _shift_slices(grid):
+    """Per neighbour k, the (destination, source) slice pairs that copy the
+    value at x + h*e_a (k = 2a) or x - h*e_a (k = 2a + 1) to x, periodically."""
+    n, dim = grid.n, grid.dim
+
+    def along(a, lo, hi):
+        return (slice(None),) * a + (slice(lo, hi),) + (slice(None),) * (dim - a - 1)
+
+    shifts = []
+    for a in range(dim):
+        shifts.append(((along(a, 0, n - 1), along(a, 1, n)),
+                       (along(a, n - 1, n), along(a, 0, 1))))
+        shifts.append(((along(a, 1, n), along(a, 0, n - 1)),
+                       (along(a, 0, 1), along(a, n - 1, n))))
+    return shifts
 
 
 def _assemble_core(grid, diffusion, drift, pot):
@@ -120,7 +142,7 @@ def _assemble_core(grid, diffusion, drift, pot):
         off[2 * a] = lap + bp / h
         off[2 * a + 1] = lap + bm / h
         diag -= (bp + bm) / h
-    return SparseOperator(grid, diag, _neighbor_indices(grid), off)
+    return SparseOperator(grid, diag, off)
 
 
 def _check_inputs(scenario, grid, eps):
@@ -136,10 +158,9 @@ def _check_inputs(scenario, grid, eps):
 def assemble(scenario, grid, eps):
     """Discrete eps*Lap + b.grad + c with upwind advection."""
     _check_inputs(scenario, grid, eps)
-    coords = grid.coord_arrays()
-    drift = [np.asarray(scenario.b[i](*coords), dtype=float) for i in range(grid.dim)]
-    pot = np.asarray(scenario.c(*coords), dtype=float)
-    return _assemble_core(grid, eps, drift, pot)
+    mesh = grid.open_mesh()
+    drift = [_field(scenario.b[i], mesh) for i in range(grid.dim)]
+    return _assemble_core(grid, eps, drift, _field(scenario.c, mesh))
 
 
 def assemble_gauged(scenario, grid, eps):
@@ -151,22 +172,25 @@ def assemble_gauged(scenario, grid, eps):
     exp(L/2eps)*w equals this operator applied to w, for smooth w.
     """
     _check_inputs(scenario, grid, eps)
-    coords = grid.coord_arrays()
-    b, gL, psi = _gauge_fields(scenario, coords)
+    mesh = grid.open_mesh()
+    b, gL, psi = _gauge_fields(scenario, mesh)
     drift = [eps * (b[i] + gL[i]) for i in range(grid.dim)]
-    pot = eps * (np.asarray(scenario.c(*coords), dtype=float)
-                 + 0.5 * np.asarray(scenario.lap_L(*coords), dtype=float)
-                 ) + psi
+    pot = eps * (_field(scenario.c, mesh) + 0.5 * _field(scenario.lap_L, mesh)) + psi
     return _assemble_core(grid, eps * eps, drift, pot)
 
 
 def gauge_weight(scenario, grid):
     """Samples of Psi_L = (|grad L|^2 + 2(grad L, b))/4 on the grid."""
-    return _gauge_fields(scenario, grid.coord_arrays())[2]
+    return _gauge_fields(scenario, grid.open_mesh())[2]
 
 
-def _gauge_fields(scenario, coords):
-    """Samples of b, grad L and Psi_L at coords, each field evaluated once."""
-    b = [np.asarray(f(*coords), dtype=float) for f in scenario.b]
-    gL = [np.asarray(f(*coords), dtype=float) for f in scenario.grad_L]
+def _field(expr, mesh):
+    """Samples of expr on the open mesh, flattened row-major."""
+    return np.asarray(expr(*mesh), dtype=float).ravel()
+
+
+def _gauge_fields(scenario, mesh):
+    """Samples of b, grad L and Psi_L on the mesh, each field evaluated once."""
+    b = [_field(f, mesh) for f in scenario.b]
+    gL = [_field(f, mesh) for f in scenario.grad_L]
     return b, gL, 0.25 * sum(g * g + 2.0 * g * bi for g, bi in zip(gL, b))

@@ -244,12 +244,18 @@ class ValidationReport:
         }
 
 
+def _excess(x):
+    """max(0, x) that keeps a NaN, so a NaN residual fails its check."""
+    return 0.0 if x <= 0.0 else x
+
+
 def validate_scenario(scenario):
     """Numerically re-check the declared structure; failures are non-fatal."""
     tol = VALIDATION_TOL
     checks = []
-    pts = np.stack(Grid(scenario.dim, VALIDATION_RESOLUTION).coord_arrays(), axis=1)
-    coords = [pts[:, i] for i in range(scenario.dim)]  # views: one copy of the mesh
+    grid = Grid(scenario.dim, VALIDATION_RESOLUTION)
+    mesh = grid.open_mesh()
+    pts = np.stack(grid.coord_arrays(), axis=1)  # for the distance masks
     ids = scenario.component_ids()
 
     for cid, comp in zip(ids, scenario.components):
@@ -295,7 +301,7 @@ def validate_scenario(scenario):
                     cid + " geometry", False, 1.0, "torus components need dim 2"))
                 continue
             res = max(
-                float(np.max(np.abs(scenario.b[i](*coords) - comp.k[i]))) for i in range(2)
+                float(np.max(np.abs(scenario.b[i](*mesh) - comp.k[i]))) for i in range(2)
             )
             checks.append(ValidationCheck(
                 cid + " constant flow matches k", res <= tol, res))
@@ -306,10 +312,10 @@ def validate_scenario(scenario):
                 "continued fraction of k1/k2 needs %d terms" % IRRATIONALITY_DEPTH))
             ok, margin = check_declared_bound(comp.k, 64, comp.C, comp.alpha)
             checks.append(ValidationCheck(
-                cid + " small-divisor bound", ok, max(0.0, 1.0 - margin),
+                cid + " small-divisor bound", ok, _excess(1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
 
-    res = max(0.0, -float(np.min(scenario.L(*coords))))
+    res = _excess(-float(np.min(scenario.L(*mesh))))
     checks.append(ValidationCheck("L nonnegative", res <= tol, res))
 
     for cid, comp in zip(ids, scenario.components):
@@ -328,7 +334,7 @@ def validate_scenario(scenario):
             nc = [near[:, i] for i in range(scenario.dim)]
             decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc)
                         for i in range(scenario.dim))
-            res = max(0.0, float(np.max(decay)))
+            res = _excess(float(np.max(decay)))
             checks.append(ValidationCheck(
                 cid + " local Lyapunov decrease", res <= tol, res,
                 "max (b, grad L) within %.2g" % NEIGHBORHOOD_RADIUS))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class CountingOperator(SparseOperator):
     """The same stencil operator, counting its apply calls."""
 
     def __init__(self, op):
-        super().__init__(op.grid, op.diag, op.nbr, op.off)
+        super().__init__(op.grid, op.diag, op.off)
         self.applies = 0
 
     def apply(self, x, out=None):
@@ -53,7 +54,14 @@ def with_negative_coupling(op):
     """The same stencil operator with one neighbour coupling made negative."""
     off = op.off.copy()
     off[0, 3] = -1e-3
-    return SparseOperator(op.grid, op.diag, op.nbr, off)
+    return SparseOperator(op.grid, op.diag, off)
+
+
+def transposed(op):
+    """The stencil of the transpose of a 1D operator: row r of the transpose
+    takes its x + h coupling from row r + 1 and its x - h one from row r - 1."""
+    off = np.stack([np.roll(op.off[1], -1), np.roll(op.off[0], 1)])
+    return SparseOperator(op.grid, op.diag, off)
 
 
 class TestPreconditions:
@@ -77,7 +85,7 @@ class TestPreconditions:
         diag = np.ones(base.grid.size)
         diag[0] = 3.0
         # zero neighbour couplings: a decoupled diagonal matrix
-        op = SparseOperator(base.grid, diag, base.nbr, np.zeros_like(base.off))
+        op = SparseOperator(base.grid, diag, np.zeros_like(base.off))
         with pytest.raises(NotIrreducibleError):
             principal_eigenpair(op)
 
@@ -92,6 +100,17 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="x0"):
             principal_eigenpair(op, x0=np.full(16, fill))
         assert op.applies == 0
+
+    @pytest.mark.parametrize("fill", [1e200, 1e-200])
+    def test_extreme_start_vector_accepted(self, fill):
+        # its squared norm over- or underflows; scaling by max|x| rescues it
+        op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
+        want = principal_eigenpair(op, x0=np.ones(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = principal_eigenpair(op, x0=np.full(16, fill))
+        assert got.certified
+        assert got.lam == pytest.approx(want.lam, abs=1e-12)
 
 
 class TestMemoryGuard:
@@ -132,6 +151,18 @@ class TestArnoldiAgainstDenseOracle:
         warm = principal_eigenpair(op, x0=prev.u)
         assert cold.certified and warm.certified
         assert warm.iterations <= cold.iterations
+
+    def test_no_positive_ritz_vector_stops_early(self):
+        # the transpose's Perron vector spans so many decades that its Ritz
+        # vectors never turn positive, so no bracket ever exists: the residual
+        # alone must stop the solver, long before the budget
+        s = builtin_scenario("stable-point")
+        small = assemble(s, Grid(1, 16), 0.05)
+        np.testing.assert_array_equal(transposed(small).to_dense(), small.to_dense().T)
+        op = CountingOperator(transposed(assemble(s, Grid(1, 512), 0.05)))
+        pair = principal_eigenpair(op, max_iter=20_000)
+        assert not pair.certified
+        assert pair.iterations == op.applies < 2_000
 
     def test_unreachable_tolerance_stops_early(self):
         # rounding keeps this bracket near 2e-12 wide: the solver must give

@@ -11,6 +11,7 @@ from driftlab.scenario import (
     BUILTIN_NAMES,
     PHI,
     Cycle,
+    Scenario,
     ScenarioFormatError,
     Torus,
     builtin_scenario,
@@ -107,6 +108,14 @@ class TestValidation:
         report = validate_scenario(torus_scenario(k, C))
         assert failed in [c.name for c in report.failures()]
 
+    def test_nan_residual_fails(self):
+        # only the Python API lets a NaN alpha through; its margin is NaN
+        s = Scenario("torus", 2, ["1", repr(PHI)], "0", "0",
+                     [Torus(k=np.array([1.0, PHI]), C=0.5, alpha=math.nan)])
+        check = {c.name: c for c in validate_scenario(s).checks}["0:torus small-divisor bound"]
+        assert not check.passed
+        assert math.isnan(check.residual)
+
     def test_constant_field_fails_point_check(self):
         s = load_scenario({
             "name": "bad-point", "dim": 1, "b": ["1"], "c": "0", "L": "0",
@@ -132,8 +141,9 @@ class TestValidation:
         call = TrigExpr.__call__
 
         def counting(self, *coords):
-            points.append(max((np.size(c) for c in coords), default=1))
-            return call(self, *coords)
+            values = call(self, *coords)
+            points.append(np.size(values))  # the coordinates may be an open mesh
+            return values
 
         monkeypatch.setattr(TrigExpr, "__call__", counting)
         assert validate_scenario(scenario_from_dict(SINK_3D)).passed
