@@ -233,23 +233,17 @@ class ExtrapolationResult:
 def extrapolate_limit(sweep):
     """Richardson limit of lam_eps = lam0 + a*eps^p on a geometric schedule.
 
-    Accepts SweepEntry lists or (eps, lam) pairs; needs >= 3 entries with a
-    ratio constant to 1%. Fitted from the last three points. Sweep entries
-    without a certified pair are left out.
+    Takes eigen_sweep's SweepEntry list; entries without a certified pair
+    are left out. Needs >= 3 certified entries, eps strictly decreasing with
+    a ratio constant to 1%. Fitted from the last three points.
     """
-    data = []
-    for item in sweep:
-        if isinstance(item, SweepEntry):
-            if not item.ok:
-                continue
-            data.append((item.eps, item.pair.lam))
-        else:
-            e, l = item
-            data.append((float(e), float(l)))
+    data = [(item.eps, item.pair.lam) for item in sweep if item.ok]
     if len(data) < 3:
         raise ScheduleError("need at least 3 sweep points to extrapolate")
     eps = np.array([e for e, _ in data])
     lam = np.array([l for _, l in data])
+    if np.any(eps[1:] >= eps[:-1]):
+        raise ScheduleError("eps schedule must be strictly decreasing")
     r = eps[1:] / eps[:-1]
     if np.any(np.abs(r / r[0] - 1.0) > 0.01):
         raise ScheduleError("eps schedule is not geometric (ratio varies > 1%)")

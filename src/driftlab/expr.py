@@ -213,12 +213,6 @@ class TrigExpr:
                     raw.append((-coeff * k, rest + ((SIN, freq, phase),)))
         return TrigExpr(raw)
 
-    def laplacian(self, dim):
-        out = TrigExpr.zero()
-        for i in range(dim):
-            out = out + self.derivative(i).derivative(i)
-        return out
-
     # -- exact Fourier data --------------------------------------------------
 
     def harmonics(self, dim):
@@ -250,32 +244,13 @@ class TrigExpr:
 
     def line_profile(self, base, direction):
         """Restriction to the line x = base + s*direction as a list of
-        (omega, amp) with  f(s) = Re( sum amp * e^{i omega s} )."""
-        base = [float(v) for v in base]
-        direction = [float(v) for v in direction]
+        (omega, amp) with  f(s) = Re( sum amp * e^{i omega s} ), from the
+        harmonics: omega = m.direction and amp = a_m e^{i m.base}."""
         out = {}
-        for coeff, factors in self.terms:
-            cur = {0.0: complex(coeff)}
-            for kind, freq, phase in factors:
-                omega = 0.0
-                psi = phase
-                for i, k in enumerate(freq):
-                    if k != 0:
-                        omega += k * direction[i]
-                        psi += k * base[i]
-                ph = cmath.exp(1j * psi)
-                if kind == COS:
-                    fac = {omega: 0.5 * ph, -omega: 0.5 * ph.conjugate()}
-                else:
-                    fac = {omega: -0.5j * ph, -omega: 0.5j * ph.conjugate()}
-                nxt = {}
-                for wa, va in cur.items():
-                    for wb, vb in fac.items():
-                        w = wa + wb
-                        nxt[w] = nxt.get(w, 0.0j) + va * vb
-                cur = nxt
-            for w, v in cur.items():
-                out[w] = out.get(w, 0.0j) + v
+        for m, a in self.harmonics(len(base)).items():
+            omega = sum(k * float(d) for k, d in zip(m, direction))
+            amp = a * cmath.exp(1j * sum(k * float(b) for k, b in zip(m, base)))
+            out[omega] = out.get(omega, 0.0j) + amp
         return sorted(out.items())
 
     # -- printing ------------------------------------------------------------
@@ -364,6 +339,8 @@ class _Tokens:
             )
         self.pos = m.end()
         if m.lastgroup == "num":
+            if not math.isfinite(float(m.group())):
+                raise ExprSyntaxError("number %r out of range" % m.group(), self.tok_pos)
             self.tok = ("num", m.group())
         elif m.lastgroup == "name":
             self.tok = ("name", m.group())
@@ -445,11 +422,11 @@ def _parse_linear(ts):
         if kind == "num":
             _, npos = ts.take()
             num = float(val)
-            if ts.peek() == ("op", "*"):
+            star = ts.peek() == ("op", "*")
+            if star:
                 ts.take()
-                kind2, val2 = ts.peek()
-                if not (kind2 == "name" and val2.startswith("x")):
-                    raise ExprSyntaxError("expected a variable after '*'", ts.tok_pos)
+            kind2, val2 = ts.peek()
+            if kind2 == "name" and val2.startswith("x"):
                 ts.take()
                 k = num * sign
                 if k != int(k):
@@ -457,14 +434,8 @@ def _parse_linear(ts):
                         "non-integer frequency %r" % val, npos
                     )
                 freq[int(val2[1]) - 1] += int(k)
-            elif ts.peek()[0] == "name" and ts.peek()[1].startswith("x"):
-                _, val2 = ts.take()[0]
-                k = num * sign
-                if k != int(k):
-                    raise ExprSyntaxError(
-                        "non-integer frequency %r" % val, npos
-                    )
-                freq[int(val2[1]) - 1] += int(k)
+            elif star:
+                raise ExprSyntaxError("expected a variable after '*'", ts.tok_pos)
             else:
                 phase += sign * num
         elif kind == "name" and val.startswith("x"):

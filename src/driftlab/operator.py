@@ -23,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 # refuse grids with more rows than this
 MAX_GRID_SIZE = 2**24
 
-__all__ = ["Grid", "SparseOperator", "assemble", "assemble_gauged"]
+__all__ = ["Grid", "SparseOperator", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,21 @@ def _shift_slices(grid):
     return shifts
 
 
-def _assemble_core(grid, diffusion, drift, pot):
-    """A = diffusion*D2 + U(drift)*D1 + diag(pot) in stencil form, with
-    upwind differences for the drift."""
+def assemble(scenario, grid, eps):
+    """Discrete eps*Lap + b.grad + c in stencil form, with upwind differences
+    for the drift."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if grid.dim != scenario.dim:
+        raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
+    if grid.size > MAX_GRID_SIZE:
+        raise GridTooLargeError(
+            "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
+    mesh = grid.open_mesh()
+    drift = [_field(b, mesh) for b in scenario.b]
     h = grid.h
-    lap = diffusion / (h * h)
-    diag = np.full(grid.size, -2.0 * grid.dim * lap) + pot
+    lap = eps / (h * h)
+    diag = np.full(grid.size, -2.0 * grid.dim * lap) + _field(scenario.c, mesh)
     off = np.empty((2 * grid.dim, grid.size))
     for a, ba in enumerate(drift):
         bp = np.maximum(ba, 0.0)
@@ -145,52 +154,6 @@ def _assemble_core(grid, diffusion, drift, pot):
     return SparseOperator(grid, diag, off)
 
 
-def _check_inputs(scenario, grid, eps):
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if grid.dim != scenario.dim:
-        raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
-    if grid.size > MAX_GRID_SIZE:
-        raise GridTooLargeError(
-            "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
-
-
-def assemble(scenario, grid, eps):
-    """Discrete eps*Lap + b.grad + c with upwind advection."""
-    _check_inputs(scenario, grid, eps)
-    mesh = grid.open_mesh()
-    drift = [_field(scenario.b[i], mesh) for i in range(grid.dim)]
-    return _assemble_core(grid, eps, drift, _field(scenario.c, mesh))
-
-
-def assemble_gauged(scenario, grid, eps):
-    """Transformed operator eps^2*Lap + eps*(Omega,grad) + c_eps with
-    Omega = b + grad L and c_eps = eps*(c + Lap L/2) + Psi_L,
-    Psi_L = (|grad L|^2 + 2*(grad L, b))/4.
-
-    Conjugation identity: exp(-L/2eps) * eps*(eps*Lap + b.grad + c) applied to
-    exp(L/2eps)*w equals this operator applied to w, for smooth w.
-    """
-    _check_inputs(scenario, grid, eps)
-    mesh = grid.open_mesh()
-    b, gL, psi = _gauge_fields(scenario, mesh)
-    drift = [eps * (b[i] + gL[i]) for i in range(grid.dim)]
-    pot = eps * (_field(scenario.c, mesh) + 0.5 * _field(scenario.lap_L, mesh)) + psi
-    return _assemble_core(grid, eps * eps, drift, pot)
-
-
-def gauge_weight(scenario, grid):
-    """Samples of Psi_L = (|grad L|^2 + 2(grad L, b))/4 on the grid."""
-    return _gauge_fields(scenario, grid.open_mesh())[2]
-
-
 def _field(expr, mesh):
     """Samples of expr on the open mesh, flattened row-major."""
     return np.asarray(expr(*mesh), dtype=float).ravel()
-
-
-def _gauge_fields(scenario, mesh):
-    """Samples of b, grad L and Psi_L on the mesh, each field evaluated once."""
-    b = [_field(f, mesh) for f in scenario.b]
-    gL = [_field(f, mesh) for f in scenario.grad_L]
-    return b, gL, 0.25 * sum(g * g + 2.0 * g * bi for g, bi in zip(gL, b))

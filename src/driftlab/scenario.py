@@ -132,7 +132,6 @@ class Torus:
     k: np.ndarray
     C: float
     alpha: float
-    dim: int = 2
 
     kind = "torus"
 
@@ -168,10 +167,10 @@ class Scenario:
                 raise ScenarioFormatError(
                     "expression %r uses more variables than dim=%d" % (str(e), self.dim)
                 )
-        # exact derivative fields, shared by assembly/validation/prediction
+        # exact derivative fields: _bind reads Db for the point jacobians and
+        # cycle normal forms, validate_scenario reads Db and grad L
         self.db = tuple(tuple(bi.derivative(j) for j in range(self.dim)) for bi in self.b)
         self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
-        self.lap_L = self.L.laplacian(self.dim)
         self.components = tuple(self._bind(comp) for comp in components)
 
     def component_ids(self):
@@ -188,6 +187,8 @@ class Scenario:
                 raise ScenarioFormatError("cycle axis out of range")
             if not comp.period > 0:
                 raise ScenarioFormatError("cycle period must be positive")
+            if self.dim == 1:
+                raise ScenarioFormatError("a cycle needs a transverse axis")
         elif isinstance(comp, Torus):
             if np.asarray(comp.k).shape != (2,):
                 raise ScenarioFormatError("torus k needs two entries")

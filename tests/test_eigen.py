@@ -7,6 +7,8 @@ import pytest
 from conftest import SINK_3D, dense_principal, l2_normalize
 from driftlab import eigen
 from driftlab.eigen import (
+    EigenPair,
+    SweepEntry,
     eigen_sweep,
     extrapolate_limit,
     principal_eigenpair,
@@ -288,28 +290,38 @@ class TestSweep:
         assert entries[2].ok
 
 
+def certified_entries(data):
+    """Certified sweep entries with the given (eps, lam) values."""
+    return [SweepEntry(eps=e, pair=EigenPair(lam=lam, u=np.ones(1), residual=0.0,
+                                             iterations=1, certified=True,
+                                             lam_lo=lam, lam_hi=lam))
+            for e, lam in data]
+
+
 class TestExtrapolation:
     def test_linear_model(self):
         eps = [0.2, 0.1, 0.05, 0.025]
-        data = [(e, 2.0 + 3.0 * e) for e in eps]
-        r = extrapolate_limit(data)
+        r = extrapolate_limit(certified_entries([(e, 2.0 + 3.0 * e) for e in eps]))
         assert r.lambda0 == pytest.approx(2.0, abs=1e-12)
         assert r.p == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_model(self):
         eps = [0.2, 0.1, 0.05, 0.025]
-        data = [(e, 1.0 + e**2) for e in eps]
-        r = extrapolate_limit(data)
+        r = extrapolate_limit(certified_entries([(e, 1.0 + e**2) for e in eps]))
         assert r.lambda0 == pytest.approx(1.0, abs=1e-12)
         assert r.p == pytest.approx(2.0, abs=1e-10)
 
-    def test_non_geometric_rejected(self):
+    @pytest.mark.parametrize("data", [
+        [(0.2, 1.0), (0.11, 1.1), (0.05, 1.2)],
+        [(0.05, 1.05), (0.1, 1.1), (0.2, 1.2)],
+    ], ids=["ratio-varies", "increasing"])
+    def test_non_geometric_rejected(self, data):
         with pytest.raises(ScheduleError):
-            extrapolate_limit([(0.2, 1.0), (0.11, 1.1), (0.05, 1.2)])
+            extrapolate_limit(certified_entries(data))
 
     def test_needs_three_points(self):
         with pytest.raises(ScheduleError):
-            extrapolate_limit([(0.2, 1.0), (0.1, 1.1)])
+            extrapolate_limit(certified_entries([(0.2, 1.0), (0.1, 1.1)]))
 
     def test_uncertified_entries_left_out(self):
         # 20 applies certify none of the stable-cycle pairs; their
@@ -321,6 +333,6 @@ class TestExtrapolation:
             extrapolate_limit(entries)
 
     def test_constant_sequence(self):
-        r = extrapolate_limit([(0.2, 5.0), (0.1, 5.0), (0.05, 5.0)])
+        r = extrapolate_limit(certified_entries([(0.2, 5.0), (0.1, 5.0), (0.05, 5.0)]))
         assert r.lambda0 == 5.0
         assert r.error == 0.0

@@ -7,7 +7,7 @@ from conftest import SINK_3D
 from driftlab import operator
 from driftlab.errors import GridTooLargeError
 from driftlab.expr import TrigExpr, parse_expr
-from driftlab.operator import Grid, assemble, assemble_gauged, gauge_weight
+from driftlab.operator import Grid, assemble
 from driftlab.scenario import (
     builtin_scenario,
     builtin_scenarios,
@@ -47,8 +47,8 @@ def bits(a):
 
 
 def all_fields(s):
-    """Every field a scenario carries: b, c, L, grad L, Lap L and Db."""
-    return [*s.b, s.c, s.L, *s.grad_L, s.lap_L, *(f for row in s.db for f in row)]
+    """Every field a scenario carries: b, c, L, grad L and Db."""
+    return [*s.b, s.c, s.L, *s.grad_L, *(f for row in s.db for f in row)]
 
 
 FIELD_CASES = builtin_scenarios() + [scenario_from_dict(SINK_3D)]
@@ -206,7 +206,7 @@ class TestConsistencyOrder:
         s = builtin_scenario(name)
         w = parse_expr("sin(x1)")
         image = (
-            0.1 * w.laplacian(s.dim)
+            0.1 * sum(w.derivative(i).derivative(i) for i in range(s.dim))
             + sum(s.b[i] * w.derivative(i) for i in range(s.dim))
             + s.c * w
         )
@@ -234,90 +234,3 @@ class TestMemoryGuard:
         assert assemble(s, Grid(2, 16), 0.1).grid.size == 16**2
         with pytest.raises(GridTooLargeError):
             assemble(s, Grid(2, 17), 0.1)
-
-
-class TestGauge:
-    def test_trivial_weight_reduces_to_scaled_operator(self):
-        s = builtin_scenario("irrational-torus")  # L = 0
-        g = Grid(2, 16)
-        eps = 0.2
-        a = assemble(s, g, eps)
-        at = assemble_gauged(s, g, eps)
-        assert at.grid == a.grid
-        np.testing.assert_allclose(at.diag, eps * a.diag, rtol=1e-14, atol=1e-16)
-        np.testing.assert_allclose(at.off, eps * a.off, rtol=1e-14, atol=1e-16)
-
-    def test_frozen_weight_value_on_stable_cycle(self):
-        # Psi_L = (|grad L|^2 + 2(grad L, b))/4 with L = 1 - cos x2,
-        # b = (1, -sin x2): at (0, pi/2) this is (1 + 2*(-1))/4 = -1/4
-        s = builtin_scenario("stable-cycle")
-        g = Grid(2, 16)
-        psi = gauge_weight(s, g)
-        at = g.flat_index((0, 4))  # (0, pi/2)
-        assert psi[at] == pytest.approx(-0.25, abs=1e-14)
-
-    @pytest.mark.parametrize("s", [builtin_scenario("mixed"), scenario_from_dict(SINK_3D)],
-                             ids=["2d", "3d"])
-    def test_fields_evaluated_once(self, s, monkeypatch):
-        # b, grad L, c and Lap L once each: 2*dim + 2 evaluations
-        calls = []
-        call = TrigExpr.__call__
-
-        def counting(self, *args):
-            calls.append(self)
-            return call(self, *args)
-
-        monkeypatch.setattr(TrigExpr, "__call__", counting)
-        assemble_gauged(s, Grid(s.dim, 8), 0.2)
-        assert len(calls) == 2 * s.dim + 2
-
-    def test_conjugation_algebra_oracle(self):
-        # independent check of the transformed coefficients: expand
-        # exp(-L/2e)*e*(e*Lap + b.grad + c)(exp(L/2e)*w) by the chain rule
-        # with exact derivatives and compare against e^2*Lap w
-        # + e*(Omega, grad w) + c_eps*w at random points
-        rng = np.random.default_rng(8)
-        for name in ("stable-cycle", "mixed"):
-            s = builtin_scenario(name)
-            w = parse_expr("2 + sin(x1)*cos(x2)")
-            eps = 0.3
-            pts = rng.uniform(0, 2 * np.pi, size=(40, 2))
-            x, y = pts[:, 0], pts[:, 1]
-            wv = w(x, y)
-            dw = [w.derivative(i)(x, y) for i in range(2)]
-            lap_w = w.laplacian(2)(x, y)
-            b = [s.b[i](x, y) for i in range(2)]
-            gL = [s.grad_L[i](x, y) for i in range(2)]
-            lapL = s.lap_L(x, y)
-            cv = s.c(x, y)
-            # chain-rule expansion of the conjugated operator
-            lhs = (
-                eps * eps * lap_w
-                + eps * sum(gL[i] * dw[i] for i in range(2))
-                + wv * (eps * lapL / 2 + sum(g * g for g in gL) / 4)
-                + eps * sum(b[i] * dw[i] for i in range(2))
-                + wv * sum(b[i] * gL[i] for i in range(2)) / 2
-                + eps * cv * wv
-            )
-            omega = [b[i] + gL[i] for i in range(2)]
-            psi = 0.25 * (sum(g * g for g in gL) + 2 * sum(b[i] * gL[i] for i in range(2)))
-            c_eps = eps * (cv + lapL / 2) + psi
-            rhs = eps * eps * lap_w + eps * sum(
-                omega[i] * dw[i] for i in range(2)) + c_eps * wv
-            np.testing.assert_allclose(lhs, rhs, atol=1e-13)
-
-    def test_spectral_consistency_with_base_operator(self):
-        # leading eigenvalue of the transformed operator approaches
-        # eps * (leading eigenvalue of the base operator) as h -> 0
-        s = builtin_scenario("stable-point")
-        eps = 0.1
-        gaps = []
-        for n in (64, 128):
-            g = Grid(1, n)
-            lam = np.linalg.eigvals(assemble(s, g, eps).to_dense())
-            lam_t = np.linalg.eigvals(assemble_gauged(s, g, eps).to_dense())
-            lead = lam[np.argmax(lam.real)].real
-            lead_t = lam_t[np.argmax(lam_t.real)].real
-            gaps.append(abs(lead_t - eps * lead))
-        assert gaps[1] < gaps[0]
-        assert gaps[0] / gaps[1] > 1.5

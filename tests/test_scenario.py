@@ -78,7 +78,6 @@ class TestFields:
         p = (1.3, 0.0)
         assert s.L(*p) == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose([g(*p) for g in s.grad_L], [0.0, 0.0], atol=1e-15)
-        assert s.lap_L(*p) == pytest.approx(1.0, abs=1e-15)
 
     def test_potential_value(self):
         s = builtin_scenario("stable-point")
@@ -278,8 +277,10 @@ class TestJsonForm:
         ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": Infinity, "alpha": 0.5}]}',
         '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
         ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": -Infinity}]}',
+        '{"name": "x", "dim": 1, "b": ["1"], "c": "0", "L": "0",'
+        ' "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": 6.28}]}',
     ], ids=["b-string", "b-expression-string", "dim-float", "c-number", "location-nan",
-            "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf"])
+            "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf", "cycle-in-dim-1"])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict(json.loads(text))
