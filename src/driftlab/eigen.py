@@ -250,11 +250,7 @@ def extrapolate_limit(sweep):
     ratio = float(r[-1])
     d1 = lam[-2] - lam[-3]
     d2 = lam[-1] - lam[-2]
-    if d1 == 0.0 and d2 == 0.0:
-        return ExtrapolationResult(float(lam[-1]), 0.0, math.nan)
-    if d1 == 0.0:
-        return ExtrapolationResult(float(lam[-1]), abs(float(d2)), math.nan)
-    q = d2 / d1
+    q = d2 / d1 if d1 != 0.0 else math.nan
     if not 0.0 < q < 1.0:
         # non-contracting differences: no model fit, report last value
         return ExtrapolationResult(float(lam[-1]), abs(float(d2)), math.nan)

@@ -1,8 +1,23 @@
 """Shared exception types, grouped by how the CLI reports them."""
 
+__all__ = ["DriftlabError", "ExprSyntaxError", "GridTooLargeError", "NonMetzlerError",
+           "NotIrreducibleError", "ScenarioFormatError", "ScheduleError"]
+
 
 class DriftlabError(Exception):
     """Base for all package-specific failures."""
+
+
+class ExprSyntaxError(DriftlabError, ValueError):
+    """Raised on malformed expression text; carries the byte offset."""
+
+    def __init__(self, message, offset):
+        super().__init__("%s (byte %d)" % (message, offset))
+        self.offset = offset
+
+
+class ScenarioFormatError(DriftlabError, ValueError):
+    """Malformed scenario data (bad JSON shape, bad component spec, ...)."""
 
 
 class GridTooLargeError(DriftlabError):

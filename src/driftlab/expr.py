@@ -13,24 +13,21 @@ import re
 
 import numpy as np
 
+from .errors import ExprSyntaxError
+
 SIN = 0
 COS = 1
 
 _NVARS = 3  # x1, x2, x3
+
+# integer frequencies from this magnitude up are not all exact as floats
+_MAX_FREQ = 2**53
 
 __all__ = [
     "TrigExpr",
     "ExprSyntaxError",
     "parse_expr",
 ]
-
-
-class ExprSyntaxError(ValueError):
-    """Raised on malformed expression text; carries the byte offset."""
-
-    def __init__(self, message, offset):
-        super().__init__("%s (byte %d)" % (message, offset))
-        self.offset = offset
 
 
 def _norm_factor(kind, freq, phase):
@@ -375,8 +372,9 @@ def _parse_sum(ts):
     expr = sign * _parse_term(ts)
     while ts.peek() in (("op", "+"), ("op", "-")):
         (_, op), _ = ts.take()
+        pos = ts.tok_pos
         t = _parse_term(ts)
-        expr = expr + t if op == "+" else expr - t
+        expr = _finite_terms(expr + t if op == "+" else expr - t, pos)
     return expr
 
 
@@ -384,7 +382,15 @@ def _parse_term(ts):
     expr = _parse_factor(ts)
     while ts.peek() == ("op", "*"):
         ts.take()
-        expr = expr * _parse_factor(ts)
+        pos = ts.tok_pos
+        expr = _finite_terms(expr * _parse_factor(ts), pos)
+    return expr
+
+
+def _finite_terms(expr, pos):
+    """expr, unless combining values at pos overflowed a coefficient."""
+    if not all(math.isfinite(c) for c, _ in expr.terms):
+        raise ExprSyntaxError("coefficient out of range", pos)
     return expr
 
 
@@ -434,10 +440,14 @@ def _parse_linear(ts):
                         "non-integer frequency %r" % val, npos
                     )
                 freq[int(val2[1]) - 1] += int(k)
+                if max(abs(f) for f in freq) >= _MAX_FREQ:
+                    raise ExprSyntaxError("frequency out of range", npos)
             elif star:
                 raise ExprSyntaxError("expected a variable after '*'", ts.tok_pos)
             else:
                 phase += sign * num
+                if not math.isfinite(phase):
+                    raise ExprSyntaxError("phase out of range", npos)
         elif kind == "name" and val.startswith("x"):
             ts.take()
             freq[int(val[1]) - 1] += sign

@@ -5,6 +5,11 @@ A scenario carries the drift b (one expression per axis), the potential c,
 and a nonnegative weight function L vanishing quadratically on the attracting
 components. Components are trusted inputs; validation re-checks the declared
 structure numerically and reports residuals without mutating anything.
+
+Point sets are coordinate tuples: one array per axis, broadcastable against
+each other, as TrigExpr.__call__ takes them and Grid.open_mesh returns them.
+A component's sample(m) returns such a tuple, and its distance(coords)
+returns an array of the coordinates' broadcast shape.
 """
 from __future__ import annotations
 
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import check_declared_bound, is_irrational
-from .expr import TrigExpr, parse_expr
+from .errors import ScenarioFormatError
+from .expr import parse_expr
 from .operator import TWO_PI, Grid
 
 # |Re eigenvalue| below this is treated as a zero real part (not hyperbolic)
@@ -52,10 +58,6 @@ __all__ = [
 ]
 
 
-class ScenarioFormatError(ValueError):
-    """Malformed scenario data (bad JSON shape, bad component spec, ...)."""
-
-
 def periodic_delta(x):
     """Signed distance to 0 on the circle: wraps into [-pi, pi)."""
     return (np.asarray(x) + math.pi) % TWO_PI - math.pi
@@ -74,12 +76,12 @@ class Point:
     def is_attracting(self):
         return bool(np.all(np.real(np.linalg.eigvals(self.jacobian)) < 0))
 
-    def distance(self, points):
-        d = periodic_delta(points - self.location[None, :])
-        return np.sqrt(np.sum(d * d, axis=1))
+    def distance(self, coords):
+        return np.sqrt(sum(periodic_delta(x - p) ** 2
+                           for x, p in zip(coords, self.location)))
 
     def sample(self, m):
-        return self.location[None, :]
+        return tuple(self.location[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +110,15 @@ class Cycle:
         ev = np.linalg.eigvals(self.transverse_matrix)
         return bool(np.all(np.real(ev) < 0))
 
-    def points(self, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        out = np.full((thetas.size, self.dim), self.level)
-        out[:, self.axis] = (self.speed * thetas) % TWO_PI
-        return out
-
     def sample(self, m):
-        return self.points(np.arange(m) * (self.period / m))
+        """m points at equal time steps, the first at running coordinate 0."""
+        running = (self.speed * (np.arange(m) * (self.period / m))) % TWO_PI
+        return tuple(running if i == self.axis else np.full(m, self.level)
+                     for i in range(self.dim))
 
-    def distance(self, points):
-        d2 = np.zeros(points.shape[0])
-        for t in self.transverse_axes:
-            dt = periodic_delta(points[:, t] - self.level)
-            d2 += dt * dt
-        return np.sqrt(d2)
+    def distance(self, coords):
+        d2 = sum(periodic_delta(coords[t] - self.level) ** 2 for t in self.transverse_axes)
+        return np.broadcast_to(np.sqrt(d2), np.broadcast_shapes(*map(np.shape, coords)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +133,12 @@ class Torus:
 
     is_attracting = True
 
-    def distance(self, points):
-        return np.zeros(points.shape[0])
+    def distance(self, coords):
+        return np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
 
     def sample(self, m):
         x = TWO_PI * np.arange(m) / m
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        return np.stack([X1.ravel(), X2.ravel()], axis=1)
+        return x[:, None], x[None, :]
 
 
 class Scenario:
@@ -154,14 +149,13 @@ class Scenario:
         self.dim = int(dim)
         if self.dim not in (1, 2, 3):
             raise ScenarioFormatError("dim must be 1, 2 or 3")
-        b = [e if isinstance(e, TrigExpr) else parse_expr(e) for e in b]
-        if len(b) != self.dim:
+        self.b = tuple(parse_expr(e) for e in b)
+        if len(self.b) != self.dim:
             raise ScenarioFormatError(
-                "drift has %d components, expected %d" % (len(b), self.dim)
+                "drift has %d components, expected %d" % (len(self.b), self.dim)
             )
-        self.b = tuple(b)
-        self.c = c if isinstance(c, TrigExpr) else parse_expr(c)
-        self.L = L if isinstance(L, TrigExpr) else parse_expr(L)
+        self.c = parse_expr(c)
+        self.L = parse_expr(L)
         for e in (*self.b, self.c, self.L):
             if e.nvars > self.dim:
                 raise ScenarioFormatError(
@@ -198,7 +192,7 @@ class Scenario:
                             for i in range(self.dim)])
             return Point(location=np.asarray(P, dtype=float), jacobian=jac)
         if isinstance(comp, Cycle) and comp.transverse_matrix is None:
-            x0 = comp.points(np.zeros(1))[0]
+            x0 = [x[0] for x in comp.sample(1)]
             t_ax = comp.transverse_axes
             B = np.array([[self.db[i][j](*x0) for j in t_ax] for i in t_ax])
             return Cycle(axis=comp.axis, level=comp.level, period=comp.period,
@@ -256,7 +250,6 @@ def validate_scenario(scenario):
     checks = []
     grid = Grid(scenario.dim, VALIDATION_RESOLUTION)
     mesh = grid.open_mesh()
-    pts = np.stack(grid.coord_arrays(), axis=1)  # for the distance masks
     ids = scenario.component_ids()
 
     for cid, comp in zip(ids, scenario.components):
@@ -270,9 +263,7 @@ def validate_scenario(scenario):
                 cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res,
                 "min |Re eig(Db)|"))
         elif comp.kind == "cycle":
-            thetas = np.arange(256) * (comp.period / 256)
-            on = comp.points(thetas)
-            cc = [on[:, i] for i in range(scenario.dim)]
+            cc = comp.sample(256)
             res = 0.0
             for i in range(scenario.dim):
                 want = comp.speed if i == comp.axis else 0.0
@@ -320,8 +311,7 @@ def validate_scenario(scenario):
     checks.append(ValidationCheck("L nonnegative", res <= tol, res))
 
     for cid, comp in zip(ids, scenario.components):
-        on = comp.sample(256)
-        cc = [on[:, i] for i in range(scenario.dim)]
+        cc = comp.sample(256)
         gmax = max(
             float(np.max(np.abs(scenario.grad_L[i](*cc)))) for i in range(scenario.dim)
         )
@@ -331,8 +321,8 @@ def validate_scenario(scenario):
             checks.append(ValidationCheck(
                 cid + " L vanishes at order 2", res <= tol, res,
                 "max(|L|, |grad L|) on the component"))
-            near = pts[comp.distance(pts) <= NEIGHBORHOOD_RADIUS]
-            nc = [near[:, i] for i in range(scenario.dim)]
+            mask = comp.distance(mesh) <= NEIGHBORHOOD_RADIUS
+            nc = [grid.axis()[i] for i in np.nonzero(mask)]
             decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc)
                         for i in range(scenario.dim))
             res = _excess(float(np.max(decay)))
@@ -349,63 +339,45 @@ def validate_scenario(scenario):
 
 # -- builtins --------------------------------------------------------------------
 
-BUILTIN_NAMES = ("stable-point", "stable-cycle", "irrational-torus", "mixed")
+# the reference scenarios in JSON form, keyed by name
+BUILTINS = {
+    "stable-point": {
+        "dim": 1, "b": ["-sin(x1)"], "c": "cos(x1)", "L": "1 - cos(x1)",
+        "components": [{"type": "point", "location": [0.0]},
+                       {"type": "point", "location": [math.pi]}],
+    },
+    "stable-cycle": {
+        "dim": 2, "b": ["1", "-sin(x2)"], "c": "cos(x1)", "L": "1 - cos(x2)",
+        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI},
+                       {"type": "cycle", "axis": 1, "level": math.pi, "period": TWO_PI}],
+    },
+    "irrational-torus": {
+        "dim": 2, "b": ["1", repr(PHI)], "c": "cos(x1)", "L": "0",
+        "components": [{"type": "torus", "k": [1.0, PHI], "C": 0.5, "alpha": 0.5}],
+    },
+    # engineered field: attracting cycle on x2 = 0 (transverse rate -2),
+    # attracting point at (0, pi) with jacobian diag(-1, -2), and a
+    # potential giving pressure +0.25 on the cycle, -0.25 at the point
+    "mixed": {
+        "dim": 2,
+        "b": ["0.5 + 0.5*cos(x2) - 0.25*sin(x1) + 0.5*cos(x2)*sin(x1)"
+              " - 0.25*cos(x2)*cos(x2)*sin(x1)",
+              "-sin(2*x2)"],
+        "c": "0.25*cos(x2)",
+        "L": "2 - cos(x1) - cos(x2) + cos(x1)*cos(x2) - cos(x2)*cos(x2)",
+        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI},
+                       {"type": "point", "location": [0.0, math.pi]}],
+    },
+}
+
+BUILTIN_NAMES = tuple(BUILTINS)
 
 
-def builtin_scenario(name, gap=0.5):
-    """Construct one of the reference scenarios; gap sets the pressure
-    difference between cycle and point in "mixed".
-    """
-    if name == "stable-point":
-        return Scenario(
-            name, 1,
-            b=["-sin(x1)"],
-            c="cos(x1)",
-            L="1 - cos(x1)",
-            components=[
-                Point(location=np.array([0.0])),
-                Point(location=np.array([math.pi])),
-            ],
-        )
-    if name == "stable-cycle":
-        return Scenario(
-            name, 2,
-            b=["1", "-sin(x2)"],
-            c="cos(x1)",
-            L="1 - cos(x2)",
-            components=[
-                Cycle(axis=0, level=0.0, period=TWO_PI, dim=2),
-                Cycle(axis=0, level=math.pi, period=TWO_PI, dim=2),
-            ],
-        )
-    if name == "irrational-torus":
-        return Scenario(
-            name, 2,
-            b=["1", repr(PHI)],
-            c="cos(x1)",
-            L="0",
-            components=[Torus(k=np.array([1.0, PHI]), C=0.5, alpha=0.5)],
-        )
-    if name == "mixed":
-        # engineered field: attracting cycle on x2 = 0 (transverse rate -2),
-        # attracting point at (0, pi) with jacobian diag(-1, -2), and a
-        # potential giving pressure +gap/2 on the cycle, -gap/2 at the point
-        cycle_c = (gap / 2.0) * parse_expr("cos(x2)")
-        return Scenario(
-            name, 2,
-            b=[
-                "0.5 + 0.5*cos(x2) - 0.25*sin(x1) + 0.5*cos(x2)*sin(x1)"
-                " - 0.25*cos(x2)*cos(x2)*sin(x1)",
-                "-sin(2*x2)",
-            ],
-            c=cycle_c,
-            L="2 - cos(x1) - cos(x2) + cos(x1)*cos(x2) - cos(x2)*cos(x2)",
-            components=[
-                Cycle(axis=0, level=0.0, period=TWO_PI, dim=2),
-                Point(location=np.array([0.0, math.pi])),
-            ],
-        )
-    raise ScenarioFormatError("unknown builtin scenario %r" % name)
+def builtin_scenario(name):
+    """Load one of the reference scenarios by name."""
+    if name not in BUILTINS:
+        raise ScenarioFormatError("unknown builtin scenario %r" % name)
+    return scenario_from_dict(dict(BUILTINS[name], name=name))
 
 
 def builtin_scenarios():

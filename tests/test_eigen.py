@@ -332,7 +332,14 @@ class TestExtrapolation:
         with pytest.raises(ScheduleError):
             extrapolate_limit(entries)
 
-    def test_constant_sequence(self):
-        r = extrapolate_limit(certified_entries([(0.2, 5.0), (0.1, 5.0), (0.05, 5.0)]))
-        assert r.lambda0 == 5.0
-        assert r.error == 0.0
+    @pytest.mark.parametrize("lams, error", [
+        ((5.0, 5.0, 5.0), 0.0),
+        ((5.0, 5.0, 5.5), 0.5),
+        ((5.0, 5.5, 6.5), 1.0),
+    ], ids=["constant", "d1-zero", "q-at-least-1"])
+    def test_constant_sequence(self, lams, error):
+        # no contracting differences: the last value, no correction fitted
+        r = extrapolate_limit(certified_entries(zip((0.2, 0.1, 0.05), lams)))
+        assert r.lambda0 == lams[-1]
+        assert r.error == error
+        assert math.isnan(r.p)

@@ -1,9 +1,12 @@
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = ["driftlab", "driftlab.diophantine", "driftlab.eigen", "driftlab.expr",
-           "driftlab.operator", "driftlab.scenario"]
+import driftlab
+
+MODULES = ["driftlab"] + ["driftlab." + m.name
+                          for m in pkgutil.iter_modules(driftlab.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)

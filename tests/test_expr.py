@@ -81,6 +81,11 @@ class TestParseErrors:
         ("sin(1e999x1)", 4),
         ("sin(1e999)", 4),
         ("1e999*cos(x1)", 0),
+        ("1e308*1e308*cos(x1)", 6),
+        ("1e308 + 1e308", 8),
+        ("sin(1e308 + 1e308)", 12),
+        ("cos(1e308x1+1e308x1)", 4),
+        ("cos(4503599627370496x1 + 4503599627370496x1)", 25),
     ])
     def test_number_out_of_range(self, text, offset):
         with pytest.raises(ExprSyntaxError) as ei:

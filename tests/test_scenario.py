@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import SINK_3D
 from driftlab.diophantine import continued_fraction
-from driftlab.expr import TrigExpr
+from driftlab.errors import DriftlabError
+from driftlab.expr import ExprSyntaxError, TrigExpr
+from driftlab.operator import Grid
 from driftlab.scenario import (
     BUILTIN_NAMES,
     PHI,
@@ -148,6 +151,17 @@ class TestValidation:
         assert validate_scenario(scenario_from_dict(SINK_3D)).passed
         assert sum(points) < 2 * 64**3
 
+    def test_no_point_cloud_allocated(self):
+        # the near-component points come from the open mesh: the peak stays
+        # below one (64^3, 3) float64 point cloud
+        tracemalloc.start()
+        try:
+            assert validate_scenario(scenario_from_dict(SINK_3D)).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64**3 * 3 * 8
+
     def test_report_dict_shape(self):
         report = validate_scenario(builtin_scenario("stable-point"))
         d = report.to_dict()
@@ -194,11 +208,15 @@ class TestBuiltins:
             sorted(np.linalg.eigvals(pt.jacobian).real), [-2.0, -1.0], atol=1e-14)
         np.testing.assert_allclose([f(*pt.location) for f in s.b], [0.0, 0.0], atol=1e-15)
 
-    def test_mixed_gap_parameter(self):
-        s0 = builtin_scenario("mixed", gap=0.0)
-        assert s0.c == TrigExpr.zero()
-        s1 = builtin_scenario("mixed", gap=0.8)
-        assert s1.c(0.0, 0.0) == pytest.approx(0.4, abs=1e-15)
+    def test_mixed_potential(self):
+        # pressure +0.25 on the cycle x2 = 0, -0.25 at the point (0, pi)
+        s = builtin_scenario("mixed")
+        assert s.c(1.3, 0.0) == 0.25
+        assert s.c(0.0, math.pi) == -0.25
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ScenarioFormatError):
+            builtin_scenario("sink-3d")
 
     def test_periodicity_of_fields(self):
         rng = np.random.default_rng(5)
@@ -298,19 +316,35 @@ class TestComponentGeometry:
     def test_cycle_points_and_distance(self):
         s = builtin_scenario("stable-cycle")
         cyc = s.components[0]
-        thetas = np.array([0.0, math.pi / 2, math.pi])
-        pts = cyc.points(thetas)
-        np.testing.assert_allclose(pts[:, 0], thetas, atol=1e-15)
-        np.testing.assert_allclose(pts[:, 1], 0.0, atol=1e-15)
-        q = np.array([[1.0, 0.3], [2.0, 2 * math.pi - 0.2]])
+        x1, x2 = cyc.sample(4)
+        np.testing.assert_allclose(x1, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2],
+                                   atol=1e-15)
+        np.testing.assert_allclose(x2, 0.0, atol=1e-15)
+        q = (np.array([1.0, 2.0]), np.array([0.3, 2 * math.pi - 0.2]))
         np.testing.assert_allclose(cyc.distance(q), [0.3, 0.2], atol=1e-12)
 
     def test_point_periodic_distance(self):
         s = builtin_scenario("stable-point")
         p = s.components[0]
-        q = np.array([[2 * math.pi - 0.1], [0.1]])
+        q = (np.array([2 * math.pi - 0.1, 0.1]),)
         np.testing.assert_allclose(p.distance(q), [0.1, 0.1], atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["mixed", "irrational-torus", "sink-3d"])
+    def test_distance_on_open_mesh_equals_flat(self, name):
+        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        g = Grid(s.dim, 16)
+        for comp in s.components:
+            d = comp.distance(g.open_mesh())
+            assert d.shape == (16,) * s.dim
+            np.testing.assert_array_equal(d.ravel(), comp.distance(g.coord_arrays()))
 
     def test_component_ids(self):
         s = builtin_scenario("mixed")
         assert s.component_ids() == ["0:cycle", "1:point"]
+
+
+def test_format_errors_are_driftlab_errors():
+    assert issubclass(ScenarioFormatError, DriftlabError)
+    assert issubclass(ExprSyntaxError, DriftlabError)
+    with pytest.raises(DriftlabError):
+        scenario_from_dict({"name": "x", "dim": 1, "b": ["cos(x1"], "c": "0", "L": "0"})
