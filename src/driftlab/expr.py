@@ -115,8 +115,10 @@ class TrigExpr:
         Terms and angles start from the scalar coefficient and phase, so a
         factor broadcasts only the axes it uses: on an open mesh
         (Grid.open_mesh) a factor in x1 alone runs sin/cos on n points, and
-        only the products and the sum are full-grid arrays. The arithmetic
-        per element is the same for any broadcast shape.
+        only the products and the sum are full-grid arrays. Each term is
+        added in place into one accumulator, in term order, so no full-grid
+        array is made per sum. The arithmetic per element is the same for
+        any broadcast shape.
         """
         nv = self.nvars
         if len(coords) < nv:
@@ -136,7 +138,7 @@ class TrigExpr:
                     if k != 0:
                         angle = angle + k * arrs[i]
                 term = term * (np.sin(angle) if kind == SIN else np.cos(angle))
-            acc = acc + term
+            acc += term
         if scalar_in:
             return float(acc)
         return acc

@@ -165,6 +165,12 @@ class Scenario:
         # cycle normal forms, validate_scenario reads Db and grad L
         self.db = tuple(tuple(bi.derivative(j) for j in range(self.dim)) for bi in self.b)
         self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
+        # differentiating multiplies coefficients by frequencies, which can
+        # overflow a coefficient that parsed as finite
+        for e in (*self.grad_L, *(f for row in self.db for f in row)):
+            if not all(math.isfinite(c) for c, _ in e.terms):
+                raise ScenarioFormatError(
+                    "a derivative of b or L has a coefficient out of range: %r" % str(e))
         self.components = tuple(self._bind(comp) for comp in components)
 
     def component_ids(self):

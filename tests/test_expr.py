@@ -179,6 +179,18 @@ class TestPeriodicityAndEval:
         assert v.shape == (8, 5)
         np.testing.assert_allclose(v, np.cos(x1) + np.sin(x2), atol=1e-15)
 
+    def test_terms_summed_in_order_bitwise(self):
+        # reference: each term evaluated alone, summed with a new array per term
+        rng = np.random.default_rng(17)
+        mesh = np.meshgrid(*([np.linspace(0, 2 * np.pi, 7)] * 3), indexing="ij", sparse=True)
+        for _ in range(10):
+            e = random_expr(rng, nterms=6, nvars=3)
+            want = np.zeros((7, 7, 7))
+            for term in e.terms:
+                want = want + TrigExpr([term])(*mesh)
+            got = e(*mesh)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), str(e))
+
     def test_extra_coordinates_allowed(self):
         e = parse_expr("cos(x1)")
         assert e(0.0, 5.0) == pytest.approx(1.0)

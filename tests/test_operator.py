@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,52 @@ def gather_apply(op, x):
     return out
 
 
+def reference_assemble(s, g, eps):
+    """Reference assembly: the stencil formulas with a new array per step."""
+    mesh = g.open_mesh()
+    h = g.h
+    lap = eps / (h * h)
+    diag = np.full(g.size, -2.0 * g.dim * lap) + s.c(*mesh).ravel()
+    off = np.empty((2 * g.dim, g.size))
+    for a, b in enumerate(s.b):
+        ba = b(*mesh).ravel()
+        bp = np.maximum(ba, 0.0)
+        bm = np.maximum(-ba, 0.0)
+        off[2 * a] = lap + bp / h
+        off[2 * a + 1] = lap + bm / h
+        diag -= (bp + bm) / h
+    return diag, off
+
+
 class TestAssembleStencil:
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    @pytest.mark.parametrize("s", FIELD_CASES, ids=[s.name for s in FIELD_CASES])
+    def test_matches_reference_bitwise(self, s, n):
+        g = Grid(s.dim, n)
+        for eps in (0.2, 0.05):
+            op = assemble(s, g, eps)
+            diag, off = reference_assemble(s, g, eps)
+            np.testing.assert_array_equal(bits(op.diag), bits(diag))
+            np.testing.assert_array_equal(bits(op.off), bits(off))
+
+    @pytest.mark.parametrize("s, n", [
+        (builtin_scenario("mixed"), 512),
+        (scenario_from_dict(SINK_3D), 64),
+    ], ids=["2d", "3d"])
+    def test_peak_memory(self, s, n):
+        # the operator itself is 2*dim + 1 rows; assembly may add at most
+        # four more while it evaluates the fields
+        g = Grid(s.dim, n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            op = assemble(s, g, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.off.shape == (2 * s.dim, g.size)
+        assert peak < (2 * s.dim + 5) * g.size * 8
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_pure_laplacian(self, dim):
         s = bare_scenario(dim, ["0"] * dim, "0")
@@ -172,7 +218,10 @@ class TestAssembleStencil:
         (builtin_scenario("stable-point"), 32),
         (builtin_scenario("mixed"), 16),
         (scenario_from_dict(SINK_3D), 8),
-    ], ids=["1d", "2d", "3d"])
+        (builtin_scenario("stable-point"), 9),
+        (builtin_scenario("mixed"), 9),
+        (scenario_from_dict(SINK_3D), 9),
+    ], ids=["1d", "2d", "3d", "1d-odd", "2d-odd", "3d-odd"])
     def test_apply_matches_gather_reference_bitwise(self, s, n):
         rng = np.random.default_rng(4)
         op = assemble(s, Grid(s.dim, n), 0.15)
@@ -182,6 +231,18 @@ class TestAssembleStencil:
         out = np.empty_like(x)
         assert op.apply(x, out=out) is out
         np.testing.assert_array_equal(bits(out), bits(want))
+
+    def test_apply_rejects_out_overlapping_x(self):
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        size = op.grid.size
+        x = np.random.default_rng(5).standard_normal(size)
+        with pytest.raises(ValueError, match="overlap"):
+            op.apply(x, out=x)
+        buf = np.concatenate([x, x])
+        with pytest.raises(ValueError, match="overlap"):
+            op.apply(buf[:size], out=buf[size // 2:size // 2 + size])
+        np.testing.assert_array_equal(op.apply(buf[:size], out=buf[size:]),
+                                      op.apply(x))
 
     def test_apply_length_check(self):
         s = builtin_scenario("stable-point")

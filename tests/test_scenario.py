@@ -311,6 +311,19 @@ class TestJsonForm:
                                 "period": 6.283185307179586}],
             })
 
+    @pytest.mark.parametrize("field", ["b", "L"])
+    def test_derivative_overflow_rejected(self, field):
+        # 1e308 parses, but its derivative 2e308 is inf: the bound point's
+        # jacobian (from b) or the Lyapunov check (from L) would be non-finite
+        spec = {"name": "x", "dim": 1, "b": ["-sin(x1)"], "c": "0", "L": "1 - cos(x1)",
+                "components": [{"type": "point", "location": [0.0]}]}
+        if field == "b":
+            spec["b"] = ["1e308*sin(2*x1)"]
+        else:
+            spec["L"] = "1e308*cos(2*x1)"
+        with pytest.raises(ScenarioFormatError, match="out of range"):
+            scenario_from_dict(spec)
+
 
 class TestComponentGeometry:
     def test_cycle_points_and_distance(self):
