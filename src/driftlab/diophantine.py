@@ -65,5 +65,10 @@ def check_declared_bound(k, M, C, alpha):
     if not C > 0:
         return False, 0.0
     r2, divs = _divisor_grid(k, M)
-    margin = float(np.min(divs * r2**float(alpha)) / float(C))
+    # a weight or product past the float range is inf, which keeps its order;
+    # a zero divisor gives 0 whatever its weight, also an infinite one
+    with np.errstate(over="ignore"):
+        scaled = np.multiply(divs, r2 ** float(alpha), out=np.zeros_like(divs),
+                             where=divs > 0)
+    margin = float(np.min(scaled) / float(C))
     return margin >= 1.0, margin

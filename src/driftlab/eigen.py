@@ -106,7 +106,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     while True:
         invariant = False
         for _ in range(min(m - j, max_iter - calls - 1)):
-            w = op.apply(V[j])
+            w = op.apply(V[j], out=V[j + 1])  # the next basis row, made in place
             calls += 1
             basis = V[:j + 1]
             h = basis @ w
@@ -120,7 +120,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             if beta <= roundoff * math.sqrt(np.sum(H[:j, j - 1] ** 2)):
                 invariant = True  # the Ritz values of H[:j, :j] are exact
                 break
-            V[j] = w / beta
+            w /= beta
 
         theta, Y = np.linalg.eig(H[:j, :j])
         order = np.argsort(-theta.real)
@@ -205,8 +205,8 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     epsilon does not abort the rest of the sweep.
     """
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ScheduleError("eps schedule must be positive")
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ScheduleError("eps schedule must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ScheduleError("eps schedule must be strictly decreasing")
     grid = Grid(scenario.dim, n)

@@ -36,6 +36,9 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        for v in (self.dim, self.n):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError("grid dim and n must be integers, got %r" % (v,))
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
         if self.n < 8:
@@ -166,16 +169,17 @@ def _shift_plan(grid, off):
 def assemble(scenario, grid, eps):
     """Discrete eps*Lap + b.grad + c in stencil form, with upwind differences
     for the drift."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if grid.dim != scenario.dim:
         raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
     if grid.size > MAX_GRID_SIZE:
         raise GridTooLargeError(
             "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
-    mesh = grid.open_mesh()
     h = grid.h
     lap = eps / (h * h)
+    # the diagonal holds -2*dim*lap, so that must not overflow either
+    if not 0.0 < 2 * grid.dim * lap < math.inf:
+        raise ValueError("eps/h^2 = %r must be finite and positive" % lap)
+    mesh = grid.open_mesh()
     # every array below is built in place in diag, off or one drift field
     diag = _field(scenario.c, mesh)
     diag += -2.0 * grid.dim * lap

@@ -3,7 +3,10 @@ recurrent components, and the structural validation checks.
 
 A scenario carries the drift b (one expression per axis), the potential c,
 and a nonnegative weight function L vanishing quadratically on the attracting
-components. Components are trusted inputs; validation re-checks the declared
+components. Components arrive in their JSON form. Each is parsed, checked
+against the scenario's dimension and linearized once, when the scenario is
+built: a point gets its jacobian Db(P) and a cycle its transverse matrix B,
+both from the exact derivative fields. Validation re-checks the declared
 structure numerically and reports residuals without mutating anything.
 
 Point sets are coordinate tuples: one array per axis, broadcastable against
@@ -49,7 +52,6 @@ __all__ = [
     "ValidationReport",
     "validate_scenario",
     "builtin_scenario",
-    "builtin_scenarios",
     "BUILTIN_NAMES",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -65,10 +67,10 @@ def periodic_delta(x):
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """Stationary point with its exact field jacobian."""
+    """Stationary point with its exact field jacobian Db(location)."""
 
     location: np.ndarray
-    jacobian: np.ndarray = None
+    jacobian: np.ndarray
 
     kind = "point"
 
@@ -93,7 +95,7 @@ class Cycle:
     level: float
     period: float
     dim: int
-    transverse_matrix: np.ndarray = None  # constant normal-form matrix B
+    transverse_matrix: np.ndarray  # constant normal-form matrix B
 
     kind = "cycle"
 
@@ -142,9 +144,14 @@ class Torus:
 
 
 class Scenario:
-    """Immutable bundle of fields and declared components on a flat torus."""
+    """Immutable bundle of fields and declared components on a flat torus.
 
-    def __init__(self, name, dim, b, c, L, components):
+    `components` are component specs in the JSON form that scenario_from_dict
+    reads, such as {"type": "point", "location": [0.0]}; the scenario holds
+    them as Point, Cycle and Torus objects with their linearizations.
+    """
+
+    def __init__(self, name, dim, b, c, L, components=()):
         self.name = str(name)
         self.dim = int(dim)
         if self.dim not in (1, 2, 3):
@@ -161,8 +168,8 @@ class Scenario:
                 raise ScenarioFormatError(
                     "expression %r uses more variables than dim=%d" % (str(e), self.dim)
                 )
-        # exact derivative fields: _bind reads Db for the point jacobians and
-        # cycle normal forms, validate_scenario reads Db and grad L
+        # exact derivative fields: _component reads Db for the point jacobians
+        # and cycle normal forms, validate_scenario reads Db and grad L
         self.db = tuple(tuple(bi.derivative(j) for j in range(self.dim)) for bi in self.b)
         self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
         # differentiating multiplies coefficients by frequencies, which can
@@ -171,39 +178,53 @@ class Scenario:
             if not all(math.isfinite(c) for c, _ in e.terms):
                 raise ScenarioFormatError(
                     "a derivative of b or L has a coefficient out of range: %r" % str(e))
-        self.components = tuple(self._bind(comp) for comp in components)
+        self.components = tuple(self._component(i, spec) for i, spec in enumerate(components))
 
     def component_ids(self):
         return ["%d:%s" % (i, c.kind) for i, c in enumerate(self.components)]
 
-    def _bind(self, comp):
-        """Attach exact linearizations to raw component declarations."""
-        if isinstance(comp, Point):
-            if comp.location.shape != (self.dim,):
-                raise ScenarioFormatError(
-                    "point location needs %d coordinates" % self.dim)
-        elif isinstance(comp, Cycle):
-            if not 0 <= comp.axis < self.dim:
-                raise ScenarioFormatError("cycle axis out of range")
-            if not comp.period > 0:
-                raise ScenarioFormatError("cycle period must be positive")
-            if self.dim == 1:
-                raise ScenarioFormatError("a cycle needs a transverse axis")
-        elif isinstance(comp, Torus):
-            if np.asarray(comp.k).shape != (2,):
-                raise ScenarioFormatError("torus k needs two entries")
-        if isinstance(comp, Point) and comp.jacobian is None:
-            P = comp.location
-            jac = np.array([[self.db[i][j](*P) for j in range(self.dim)]
-                            for i in range(self.dim)])
-            return Point(location=np.asarray(P, dtype=float), jacobian=jac)
-        if isinstance(comp, Cycle) and comp.transverse_matrix is None:
-            x0 = [x[0] for x in comp.sample(1)]
-            t_ax = comp.transverse_axes
-            B = np.array([[self.db[i][j](*x0) for j in t_ax] for i in t_ax])
-            return Cycle(axis=comp.axis, level=comp.level, period=comp.period,
-                         dim=self.dim, transverse_matrix=B)
-        return comp
+    def _component(self, i, spec):
+        """The i-th component from its JSON form, with its linearization."""
+        if not isinstance(spec, dict) or "type" not in spec:
+            raise ScenarioFormatError("component %d has no type" % i)
+        kind = spec["type"]
+        try:
+            if kind == "point":
+                P = np.array([_finite(v) for v in spec["location"]])
+                if P.shape != (self.dim,):
+                    raise ScenarioFormatError(
+                        "point location needs %d coordinates" % self.dim)
+                return Point(P, self._db_at(P, range(self.dim)))
+            if kind == "cycle":
+                axis = _integer(spec["axis"]) - 1
+                level = _finite(spec["level"])
+                period = _finite(spec["period"])
+                if self.dim == 1:
+                    raise ScenarioFormatError("a cycle needs a transverse axis")
+                if not 0 <= axis < self.dim:
+                    raise ScenarioFormatError("cycle axis out of range")
+                if not period > 0:
+                    raise ScenarioFormatError("cycle period must be positive")
+                # B is Db on the transverse axes, at running coordinate 0
+                x0 = [0.0 if j == axis else level for j in range(self.dim)]
+                t_ax = [j for j in range(self.dim) if j != axis]
+                return Cycle(axis, level, period, self.dim, self._db_at(x0, t_ax))
+            if kind == "torus":
+                if self.dim != 2:
+                    raise ScenarioFormatError("a torus needs dim 2")
+                k = np.array([_finite(v) for v in spec["k"]])
+                if k.shape != (2,):
+                    raise ScenarioFormatError("torus k needs two entries")
+                return Torus(k, _finite(spec["C"]), _finite(spec["alpha"]))
+        except ScenarioFormatError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
+        raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
+
+    def _db_at(self, x, axes):
+        """The matrix Db(x)[i, j] for i, j in axes."""
+        return np.array([[self.db[i][j](*x) for j in axes] for i in axes])
 
 
 # -- validation ----------------------------------------------------------------
@@ -294,10 +315,6 @@ def validate_scenario(scenario):
                 cid + " constant normal form", res <= tol, res,
                 "transverse jacobian constant, decoupled from the phase"))
         elif comp.kind == "torus":
-            if scenario.dim != 2:
-                checks.append(ValidationCheck(
-                    cid + " geometry", False, 1.0, "torus components need dim 2"))
-                continue
             res = max(
                 float(np.max(np.abs(scenario.b[i](*mesh) - comp.k[i]))) for i in range(2)
             )
@@ -386,10 +403,6 @@ def builtin_scenario(name):
     return scenario_from_dict(dict(BUILTINS[name], name=name))
 
 
-def builtin_scenarios():
-    return [builtin_scenario(n) for n in BUILTIN_NAMES]
-
-
 # -- JSON form --------------------------------------------------------------------
 
 
@@ -415,37 +428,9 @@ def scenario_from_dict(data):
         b, c, L = data["b"], data["c"], data["L"]
         if not isinstance(b, list) or not all(isinstance(e, str) for e in (*b, c, L)):
             raise TypeError("b must be a list of expression strings, c and L strings")
-        raw_components = data.get("components", [])
+        components = data.get("components", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError("missing or malformed scenario field: %s" % exc)
-    components = []
-    for i, cd in enumerate(raw_components):
-        if not isinstance(cd, dict) or "type" not in cd:
-            raise ScenarioFormatError("component %d has no type" % i)
-        kind = cd["type"]
-        try:
-            if kind == "point":
-                location = np.array([_finite(v) for v in cd["location"]])
-                components.append(Point(location=location))
-            elif kind == "cycle":
-                components.append(Cycle(
-                    axis=_integer(cd["axis"]) - 1,
-                    level=_finite(cd["level"]),
-                    period=_finite(cd["period"]),
-                    dim=dim,
-                ))
-            elif kind == "torus":
-                components.append(Torus(
-                    k=np.array([_finite(v) for v in cd["k"]]),
-                    C=_finite(cd["C"]),
-                    alpha=_finite(cd["alpha"]),
-                ))
-            else:
-                raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, ScenarioFormatError):
-                raise
-            raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
     return Scenario(name, dim, b, c, L, components)
 
 

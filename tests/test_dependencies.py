@@ -1,0 +1,32 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_modules(path):
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                for d in project["dependencies"]}
+    used = set()
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        used |= imported_modules(path)
+    third_party = used - set(sys.stdlib_module_names) - {"driftlab"}
+    assert third_party and third_party == declared

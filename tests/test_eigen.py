@@ -21,8 +21,8 @@ from driftlab.errors import (
 )
 from driftlab.operator import Grid, SparseOperator, assemble
 from driftlab.scenario import (
+    BUILTIN_NAMES,
     builtin_scenario,
-    builtin_scenarios,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -36,7 +36,8 @@ def bare_scenario(dim, b, c, L="0"):
 
 
 # every builtin at n=16 and the 3D sink at n=8: small enough for dense eig
-ORACLE_CASES = [(s, 16) for s in builtin_scenarios()] + [(scenario_from_dict(SINK_3D), 8)]
+ORACLE_CASES = ([(builtin_scenario(n), 16) for n in BUILTIN_NAMES]
+                + [(scenario_from_dict(SINK_3D), 8)])
 ORACLE_IDS = [s.name for s, _ in ORACLE_CASES]
 
 
@@ -206,7 +207,7 @@ class TestSolvesAgainstDenseOracle:
         assert pair.lam == pytest.approx(lam_d, abs=1e-10)
 
     def test_perron_dominance_small_grids(self):
-        for s in builtin_scenarios():
+        for s in map(builtin_scenario, BUILTIN_NAMES):
             op = assemble(s, Grid(s.dim, 16), 0.1)
             pair = principal_eigenpair(op, tol=1e-10)
             dense = op.to_dense()
@@ -273,6 +274,19 @@ class TestSweep:
             eigen_sweep(s, 32, [0.1, 0.2])
         with pytest.raises(ScheduleError):
             eigen_sweep(s, 32, [0.2, -0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, bad):
+        # a NaN passes both "positive" and "decreasing" as comparisons
+        s = builtin_scenario("stable-point")
+        for schedule in ([0.2, bad, 0.05], [bad, 0.1, 0.05], [0.2, 0.1, bad]):
+            with pytest.raises(ScheduleError, match="finite"):
+                eigen_sweep(s, 32, schedule)
+
+    def test_non_integer_n_rejected(self):
+        # raised at once, not recorded on every entry
+        with pytest.raises(ValueError, match="integers"):
+            eigen_sweep(builtin_scenario("mixed"), 64.0, [0.2, 0.1, 0.05])
 
     def test_per_entry_error_propagation(self, monkeypatch):
         # a non-Metzler operator at eps=0.1 only: the sweep must keep the good

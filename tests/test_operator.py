@@ -10,8 +10,8 @@ from driftlab.errors import GridTooLargeError
 from driftlab.expr import TrigExpr, parse_expr
 from driftlab.operator import Grid, assemble
 from driftlab.scenario import (
+    BUILTIN_NAMES,
     builtin_scenario,
-    builtin_scenarios,
     load_scenario,
     scenario_from_dict,
 )
@@ -35,6 +35,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 4)
 
+    @pytest.mark.parametrize("dim, n", [(2, 64.0), (2.0, 64), (True, 8), (1, True),
+                                        (2, "64"), (2, np.float64(64))],
+                             ids=["n-float", "dim-float", "dim-bool", "n-bool", "n-str",
+                                  "n-numpy-float"])
+    def test_non_integer_rejected(self, dim, n):
+        with pytest.raises(ValueError, match="integers"):
+            Grid(dim, n)
+
+    def test_numpy_integers_accepted(self):
+        g = Grid(np.int64(2), np.int32(16))
+        assert g.size == 256 and g.h == Grid(2, 16).h
+
     def test_spacing(self):
         g = Grid(1, 16)
         assert g.h == pytest.approx(2 * math.pi / 16)
@@ -52,7 +64,7 @@ def all_fields(s):
     return [*s.b, s.c, s.L, *s.grad_L, *(f for row in s.db for f in row)]
 
 
-FIELD_CASES = builtin_scenarios() + [scenario_from_dict(SINK_3D)]
+FIELD_CASES = [builtin_scenario(n) for n in BUILTIN_NAMES] + [scenario_from_dict(SINK_3D)]
 
 
 class TestOpenMesh:
@@ -253,7 +265,7 @@ class TestAssembleStencil:
 
 class TestMetzler:
     def test_upwind_always_metzler(self):
-        for s in builtin_scenarios():
+        for s in map(builtin_scenario, BUILTIN_NAMES):
             for eps in (1e-3, 0.05, 1.0):
                 for n in (16, 32, 64, 128):
                     op = assemble(s, Grid(s.dim, n), eps)
@@ -280,6 +292,23 @@ class TestConsistencyOrder:
             want = np.asarray(image(*coords), dtype=float)
             errs.append(np.max(np.abs(got - want)))
         assert 1.7 <= errs[0] / errs[1] <= 2.3
+
+
+class TestEpsRange:
+    @pytest.mark.parametrize("n, eps", [(16, 0.0), (16, -0.1), (16, math.nan), (16, math.inf),
+                                        (16, 1e308), (8, 1e308), (16, 1e-330)],
+                             ids=["zero", "negative", "nan", "inf", "overflow",
+                                  "diagonal-overflow", "underflow"])
+    def test_rejected(self, n, eps):
+        # 1e308/h^2 overflows at n = 16; at n = 8 it is finite, but the
+        # diagonal's 2*dim times it is not; 1e-330 is 0.0
+        s = builtin_scenario("stable-point")
+        with pytest.raises(ValueError, match="eps/h"):
+            assemble(s, Grid(1, n), eps)
+
+    def test_smallest_positive_accepted(self):
+        op = assemble(builtin_scenario("stable-point"), Grid(1, 8), 5e-324)
+        assert np.all(np.isfinite(op.diag)) and op.is_metzler
 
 
 class TestMemoryGuard:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SINK_3D
-from driftlab.diophantine import continued_fraction
+from driftlab.diophantine import check_declared_bound, continued_fraction
 from driftlab.errors import DriftlabError
 from driftlab.expr import ExprSyntaxError, TrigExpr
 from driftlab.operator import Grid
@@ -18,7 +18,6 @@ from driftlab.scenario import (
     ScenarioFormatError,
     Torus,
     builtin_scenario,
-    builtin_scenarios,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -63,10 +62,10 @@ REPORT_CHECKS = {
 }
 
 
-def torus_scenario(k, C):
+def torus_scenario(k, C, alpha=0.5):
     return scenario_from_dict({
         "name": "torus", "dim": 2, "b": [repr(v) for v in k], "c": "0", "L": "0",
-        "components": [{"type": "torus", "k": k, "C": C, "alpha": 0.5}],
+        "components": [{"type": "torus", "k": k, "C": C, "alpha": alpha}],
     })
 
 
@@ -89,7 +88,7 @@ class TestFields:
 
 class TestValidation:
     def test_all_builtins_pass(self):
-        for s in builtin_scenarios():
+        for s in map(builtin_scenario, BUILTIN_NAMES):
             report = validate_scenario(s)
             assert report.passed, [c.name for c in report.failures()]
 
@@ -102,21 +101,34 @@ class TestValidation:
         ([1.0, 0.0], 0.5, "0:torus irrational ratio"),
         ([0.0, 0.0], 0.5, "0:torus irrational ratio"),
         ([1e300, 1e-10], 0.5, "0:torus irrational ratio"),
+        ([1e306, 3.0], 0.5, "0:torus irrational ratio"),
         ([1.0, PHI], 0.0, "0:torus small-divisor bound"),
         ([1.0, PHI], -0.5, "0:torus small-divisor bound"),
-    ], ids=["k2-zero", "k-zero", "ratio-overflow", "C-zero", "C-negative"])
+    ], ids=["k2-zero", "k-zero", "ratio-overflow", "weighted-divisor-overflow", "C-zero",
+            "C-negative"])
     def test_degenerate_torus_fails_its_check(self, k, C, failed):
         # a numpy warning on the way fails this too: the suite makes warnings errors
         report = validate_scenario(torus_scenario(k, C))
         assert failed in [c.name for c in report.failures()]
 
     def test_nan_residual_fails(self):
-        # only the Python API lets a NaN alpha through; its margin is NaN
-        s = Scenario("torus", 2, ["1", repr(PHI)], "0", "0",
-                     [Torus(k=np.array([1.0, PHI]), C=0.5, alpha=math.nan)])
+        # the JSON form rejects a NaN alpha, so it is set on a loaded scenario;
+        # its margin is NaN
+        s = torus_scenario([1.0, PHI], 0.5)
+        s.components = (Torus(k=np.array([1.0, PHI]), C=0.5, alpha=math.nan),)
         check = {c.name: c for c in validate_scenario(s).checks}["0:torus small-divisor bound"]
         assert not check.passed
         assert math.isnan(check.residual)
+
+    @pytest.mark.parametrize("k, ok", [([1.0, PHI], True), ([1.0, 3.0], False)],
+                             ids=["golden", "rational"])
+    def test_large_alpha_no_overflow(self, k, ok):
+        # (m1^2 + m2^2)^400 passes the float range from m1^2 + m2^2 = 6; the suite
+        # makes the overflow warning an error
+        assert check_declared_bound(k, 64, 0.5, 400.0) == ((True, 2.0) if ok else (False, 0.0))
+        report = validate_scenario(torus_scenario(k, 0.5, alpha=400.0))
+        check = {c.name: c for c in report.checks}["0:torus small-divisor bound"]
+        assert check.passed is ok
 
     def test_constant_field_fails_point_check(self):
         s = load_scenario({
@@ -208,6 +220,17 @@ class TestBuiltins:
             sorted(np.linalg.eigvals(pt.jacobian).real), [-2.0, -1.0], atol=1e-14)
         np.testing.assert_allclose([f(*pt.location) for f in s.b], [0.0, 0.0], atol=1e-15)
 
+    def test_linearization_from_the_field(self):
+        # Scenario takes component specs: Db(0) = cos(0) = +1 makes the point
+        # a hyperbolic source whatever else the scenario says
+        s = Scenario("source", 1, ["sin(x1)"], "0", "0",
+                     [{"type": "point", "location": [0.0]}])
+        p = s.components[0]
+        assert p.jacobian.tolist() == [[1.0]]
+        assert not p.is_attracting
+        checks = {c.name: c for c in validate_scenario(s).checks}
+        assert checks["0:point hyperbolic"].residual == 1.0
+
     def test_mixed_potential(self):
         # pressure +0.25 on the cycle x2 = 0, -0.25 at the point (0, pi)
         s = builtin_scenario("mixed")
@@ -220,7 +243,7 @@ class TestBuiltins:
 
     def test_periodicity_of_fields(self):
         rng = np.random.default_rng(5)
-        for s in builtin_scenarios():
+        for s in map(builtin_scenario, BUILTIN_NAMES):
             p = rng.uniform(0, 2 * np.pi, size=s.dim)
             for i in range(s.dim):
                 q = p.copy()
@@ -231,7 +254,7 @@ class TestBuiltins:
 
 class TestJsonForm:
     def test_round_trip_builtins(self):
-        for s in builtin_scenarios():
+        for s in map(builtin_scenario, BUILTIN_NAMES):
             d = scenario_to_dict(s)
             back = scenario_from_dict(json.loads(json.dumps(d)))
             assert scenario_to_dict(back) == d
@@ -271,12 +294,11 @@ class TestJsonForm:
             })
 
     def test_torus_needs_dim2(self):
-        s = scenario_from_dict({
-            "name": "x", "dim": 1, "b": ["1"], "c": "0", "L": "0",
-            "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": 0.5}],
-        })
-        report = validate_scenario(s)
-        assert not report.passed
+        with pytest.raises(ScenarioFormatError, match="torus needs dim 2"):
+            scenario_from_dict({
+                "name": "x", "dim": 1, "b": ["1"], "c": "0", "L": "0",
+                "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": 0.5}],
+            })
 
     @pytest.mark.parametrize("text", [
         '{"name": "x", "dim": 1, "b": "1", "c": "0", "L": "0"}',
@@ -297,8 +319,15 @@ class TestJsonForm:
         ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": -Infinity}]}',
         '{"name": "x", "dim": 1, "b": ["1"], "c": "0", "L": "0",'
         ' "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": 6.28}]}',
+        '{"name": "x", "dim": 2, "b": ["0", "0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "point", "location": [0.0]}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, 1.5, 2.0], "C": 0.5, "alpha": 0.5}]}',
+        '{"name": "x", "dim": 3, "b": ["1", "1.5", "0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": 0.5}]}',
     ], ids=["b-string", "b-expression-string", "dim-float", "c-number", "location-nan",
-            "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf", "cycle-in-dim-1"])
+            "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf", "cycle-in-dim-1",
+            "location-length", "k-three-entries", "torus-in-dim-3"])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict(json.loads(text))
