@@ -46,13 +46,17 @@ def is_irrational(x, depth=20):
 
 
 def _divisor_grid(k, M):
-    """|m|^2 and |m.k| for every integer m with 0 < |m| <= M."""
+    """|m|^2 and |m.k| for every integer m with 0 < |m| <= M.
+
+    A product past the float range is inf; where two such products of
+    opposite signs meet, |m.k| is nan, which the bound check fails."""
     k1, k2 = float(k[0]), float(k[1])
     m = np.arange(-M, M + 1)
     M1, M2 = np.meshgrid(m, m, indexing="ij")
     r2 = M1**2 + M2**2
     mask = (r2 > 0) & (r2 <= M * M)
-    divs = np.abs(M1 * k1 + M2 * k2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        divs = np.abs(M1 * k1 + M2 * k2)
     return r2[mask], divs[mask]
 
 
@@ -66,7 +70,7 @@ def check_declared_bound(k, M, C, alpha):
         return False, 0.0
     r2, divs = _divisor_grid(k, M)
     # a weight or product past the float range is inf, which keeps its order;
-    # a zero divisor gives 0 whatever its weight, also an infinite one
+    # a zero or nan divisor gives 0 whatever its weight, also an infinite one
     with np.errstate(over="ignore"):
         scaled = np.multiply(divs, r2 ** float(alpha), out=np.zeros_like(divs),
                              where=divs > 0)

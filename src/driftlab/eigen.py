@@ -8,7 +8,8 @@ irreducible A and any u > 0 that bracket contains the Perron eigenvalue, so
 its width bounds the error of lam. Between cycles the basis is cut back to
 the span of the KEEP rightmost Ritz vectors, in place (Stewart's
 Krylov-Schur restart, with an orthonormalized real basis of Ritz vectors in
-place of the Schur vectors).
+place of the Schur vectors). A run whose bracket stalls is repeated once in
+the diagonal gauge of its u, where the Perron vector is near 1 everywhere.
 """
 from __future__ import annotations
 
@@ -57,10 +58,16 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
     [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide. `iterations` counts
-    every op.apply call, at most max_iter of them. When they run out, or
-    STALL_CYCLES cycles in a row improve neither the bracket width nor, at
-    equal width, the residual, the iterate with the narrowest bracket
-    (without one, the smallest residual) is returned, flagged uncertified.
+    every op.apply call, at most max_iter of them. A run ends when they run
+    out, or when STALL_CYCLES cycles in a row improve neither the bracket
+    width nor, at equal width, the residual. A Ritz vector is accurate in
+    norm, not entry by entry, so where u spans many decades a stalled
+    bracket is rounding in u's small entries. A run that stalls at a
+    positive u is followed by one more run in the gauge of that u: Arnoldi
+    on D^-1 A D with D = diag(u), applied as op.apply(u*v)/u, whose Perron
+    vector is near 1 in every entry. The iterate with the narrowest bracket
+    (without one, the smallest residual) is returned, flagged uncertified
+    unless its bracket meets tol.
     """
     if not op.is_metzler:
         raise NonMetzlerError(
@@ -86,7 +93,6 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             raise ValueError("x0 has wrong length")
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
-    H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
     with np.errstate(over="ignore", under="ignore"):
         squares = np.sum(x * x)
     if not np.finfo(float).tiny <= squares < math.inf:
@@ -98,15 +104,44 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         x = x / scale
         squares = np.sum(x * x)
     V[0] = x / math.sqrt(squares)
+    best, calls, stalled = _arnoldi(op, V, None, tol, max_iter)
+    lam, u, residual, certified, lo, hi = best
+    if stalled and not certified and lo > -math.inf and max_iter - calls >= 2:
+        V[0] = 1.0 / math.sqrt(size)
+        gauged, more, _ = _arnoldi(op, V, u, tol, max_iter - calls)
+        calls += more
+        best = min(best, gauged, key=_rank)
+
+    lam, u, residual, certified, lo, hi = best
+    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
+    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
+                     certified=certified, lam_lo=lo, lam_hi=hi)
+
+
+def _arnoldi(op, V, gauge, tol, max_calls):
+    """One thick-restart Arnoldi run from the unit vector V[0], on op or,
+    with a positive gauge u, on diag(u)^-1 op diag(u).
+
+    Returns (the best iterate (lam, u, residual, certified, lo, hi) by
+    _rank, op.apply calls made, whether it stopped on a stall). u and its
+    bracket are always op's, so a gauge changes only the basis.
+    """
+    m = V.shape[0] - 1
+    H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
+    scaled = None if gauge is None else np.empty_like(gauge)
     j = 0  # basis vectors with their column of H
     calls = 0
-    best = best_key = None
+    best = None
     stale = 0
     roundoff = np.finfo(float).eps
     while True:
         invariant = False
-        for _ in range(min(m - j, max_iter - calls - 1)):
-            w = op.apply(V[j], out=V[j + 1])  # the next basis row, made in place
+        for _ in range(min(m - j, max_calls - calls - 1)):
+            if gauge is None:
+                w = op.apply(V[j], out=V[j + 1])  # the next basis row, made in place
+            else:
+                w = op.apply(np.multiply(gauge, V[j], out=scaled), out=V[j + 1])
+                w /= gauge
             calls += 1
             basis = V[:j + 1]
             h = basis @ w
@@ -126,6 +161,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         order = np.argsort(-theta.real)
         lam = float(theta[order[0]].real)
         u = Y[:, order[0]].real @ V[:j]
+        if gauge is not None:
+            u *= gauge
         if np.sum(u) < 0:
             u = -u
         au = op.apply(u)
@@ -138,20 +175,21 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             # the Perron value lies in [lo, hi], so moving lam there only helps
             lam = min(max(lam, lo), hi)
         certified = hi - lo <= tol * max(1.0, abs(lam))
-        key = (hi - lo, residual)
-        if best is None or key < best_key:
-            best, best_key, stale = (lam, u, residual, certified, lo, hi), key, 0
+        iterate = (lam, u, residual, certified, lo, hi)
+        if best is None or _rank(iterate) < _rank(best):
+            best, stale = iterate, 0
         else:
             stale += 1  # neither bracket nor residual improves: rounding
-        if certified or invariant or stale == STALL_CYCLES or max_iter - calls < 2:
-            break
+        if certified or invariant or stale == STALL_CYCLES or max_calls - calls < 2:
+            return best, calls, stale == STALL_CYCLES
         if j == m:
             j = _restart(V, H, theta, Y, order)
 
-    lam, u, residual, certified, lo, hi = best
-    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
-    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
-                     certified=certified, lam_lo=lo, lam_hi=hi)
+
+def _rank(iterate):
+    """Order of iterates: narrower bracket first, then smaller residual."""
+    lam, u, residual, certified, lo, hi = iterate
+    return hi - lo, residual
 
 
 def _restart(V, H, theta, Y, order):

@@ -1,7 +1,8 @@
 """Shared exception types, grouped by how the CLI reports them."""
 
-__all__ = ["DriftlabError", "ExprSyntaxError", "GridTooLargeError", "NonMetzlerError",
-           "NotIrreducibleError", "ScenarioFormatError", "ScheduleError"]
+__all__ = ["CoefficientOverflowError", "DriftlabError", "ExprSyntaxError",
+           "GridTooLargeError", "NonMetzlerError", "NotIrreducibleError",
+           "ScenarioFormatError", "ScheduleError"]
 
 
 class DriftlabError(Exception):
@@ -18,6 +19,10 @@ class ExprSyntaxError(DriftlabError, ValueError):
 
 class ScenarioFormatError(DriftlabError, ValueError):
     """Malformed scenario data (bad JSON shape, bad component spec, ...)."""
+
+
+class CoefficientOverflowError(DriftlabError, ValueError):
+    """Fields too large for their operator coefficients to be finite floats."""
 
 
 class GridTooLargeError(DriftlabError):

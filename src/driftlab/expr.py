@@ -8,8 +8,10 @@ closed under +, -, * and partial differentiation, with exact coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,10 @@ _NVARS = 3  # x1, x2, x3
 
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
+
+# on_grid forms the last axis's e^{i m x} table for at most this many points
+# at a time; only a 1D grid has more points on an axis
+TABLE_COLUMNS = 4096
 
 __all__ = [
     "TrigExpr",
@@ -110,15 +116,17 @@ class TrigExpr:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, *coords):
-        """Value at broadcast coordinates.
+        """Value at broadcast coordinates, term by term.
 
-        Terms and angles start from the scalar coefficient and phase, so a
-        factor broadcasts only the axes it uses: on an open mesh
-        (Grid.open_mesh) a factor in x1 alone runs sin/cos on n points, and
-        only the products and the sum are full-grid arrays. Each term is
-        added in place into one accumulator, in term order, so no full-grid
-        array is made per sum. The arithmetic per element is the same for
-        any broadcast shape.
+        This is the pointwise evaluator, for point sets such as the
+        components' samples and the validation mesh; on_grid fills a whole
+        tensor grid faster from the harmonics. Terms and angles start from
+        the scalar coefficient and phase, so a factor broadcasts only the
+        axes it uses: on an open mesh (Grid.open_mesh) a factor in x1 alone
+        runs sin/cos on n points, and only the products and the sum are
+        full-grid arrays. Each term is added in place into one accumulator,
+        in term order. The arithmetic per element is the same for any
+        broadcast shape.
         """
         nv = self.nvars
         if len(coords) < nv:
@@ -142,6 +150,48 @@ class TrigExpr:
         if scalar_in:
             return float(acc)
         return acc
+
+    def on_grid(self, n, dim, out=None):
+        """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
+        axis (the points of Grid(dim, n)), flattened row-major.
+
+        Computed from the exact harmonics, grouped by the last axis's
+        frequency m_L. By the Hermitian symmetry, f = Re sum over m_L >= 0
+        of g(x') e^{i m_L x_L}, with g the coefficients a_m (doubled where
+        m_L > 0) summed over the other axes against their e^{i m x} tables.
+        That sum is a small complex contraction per leading axis; the last
+        axis is one real matrix product of [Re g, -Im g] with the
+        [cos(m_L x); sin(m_L x)] table, written into out. The table covers
+        at most TABLE_COLUMNS points at a time, so a 1D grid longer than
+        that takes one product per block and no array of grid length but
+        out. The values agree with __call__ to a few rounding errors of
+        sum |a_m|.
+
+        out, if given, is a C-contiguous float64 array of n**dim elements;
+        it is filled and returned.
+        """
+        spec = _spectrum(self, dim)
+        size = n**dim
+        if out is None:
+            out = np.empty(size)
+        elif out.dtype != np.float64 or out.size != size or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array of %d elements"
+                             % size)
+        *leading, last = spec.freqs
+        g = spec.coef
+        for freqs in leading:
+            # the leading frequency axis of g becomes a trailing grid axis
+            angle = np.multiply.outer(grid_angles(n), freqs)
+            g = np.tensordot(g, np.cos(angle) + 1j * np.sin(angle), axes=(0, 1))
+        g = g.reshape(last.size, size // n)
+        weights = np.concatenate([g.real, -g.imag]).T
+        rows = out.reshape(-1, n)
+        for lo in range(0, n, TABLE_COLUMNS):
+            hi = min(lo + TABLE_COLUMNS, n)
+            angle = np.multiply.outer(last, grid_angles(n, lo, hi))
+            table = np.concatenate([np.cos(angle), np.sin(angle)])
+            np.matmul(weights, table, out=rows[:, lo:hi])
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -216,7 +266,10 @@ class TrigExpr:
 
     def harmonics(self, dim):
         """Exact coefficients a_m of  f(x) = sum_m a_m e^{i m.x},  |m| keys
-        are integer tuples of length dim. Hermitian: a_{-m} = conj(a_m)."""
+        are integer tuples of length dim. Hermitian: a_{-m} = conj(a_m).
+
+        on_grid and abs_sum read them through a cache of their array form,
+        built once per expression and dim."""
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         zero = (0,) * dim
@@ -240,6 +293,11 @@ class TrigExpr:
             for k, v in cur.items():
                 total[k] = total.get(k, 0.0j) + v
         return {k: v for k, v in total.items() if v != 0.0}
+
+    def abs_sum(self, dim):
+        """sum |a_m| over harmonics(dim): a bound on |f| at every point; inf
+        or nan when the coefficients overflow."""
+        return _spectrum(self, dim).abs_sum
 
     def line_profile(self, base, direction):
         """Restriction to the line x = base + s*direction as a list of
@@ -275,6 +333,36 @@ class TrigExpr:
 
     def __repr__(self):
         return "TrigExpr(%s)" % str(self)
+
+
+class _Spectrum(NamedTuple):
+    """The harmonics in the array form on_grid contracts; read-only."""
+
+    freqs: tuple  # per axis, the frequencies present; m >= 0 on the last
+    coef: np.ndarray  # complex, a_m at the frequencies, doubled where m_L > 0
+    abs_sum: float  # sum |a_m| over all harmonics
+
+
+@functools.lru_cache(maxsize=256)
+def _spectrum(expr, dim):
+    harm = expr.harmonics(dim)
+    # Python float sums give inf or nan on overflow, with no warning
+    abs_sum = sum(abs(a) for a in harm.values())
+    half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
+    freqs = [sorted({m[i] for m, _ in half}) for i in range(dim)]
+    coef = np.zeros(tuple(len(f) for f in freqs), dtype=complex)
+    for m, a in half:
+        coef[tuple(f.index(k) for f, k in zip(freqs, m))] = a
+    freqs = tuple(np.array(f, dtype=float) for f in freqs)
+    for arr in (*freqs, coef):
+        arr.setflags(write=False)
+    return _Spectrum(freqs, coef, abs_sum)
+
+
+def grid_angles(n, lo=0, hi=None):
+    """The angles 2*pi*j/n of an n-point grid axis, for lo <= j < hi (all n
+    by default): the points of Grid.axis and of on_grid."""
+    return 2.0 * math.pi * np.arange(lo, n if hi is None else hi) / n
 
 
 def _factor_str(factor):

@@ -7,10 +7,13 @@ n**(dim-1-a) rows away in flat memory except where it wraps around the torus;
 no row index map is stored. The mat-vec multiplies each neighbour's
 coefficients by x read at that flat shift, fixes the wrapped rows through a
 grid view, and sums the neighbour terms in a fixed order, so its result is
-deterministic. Assembly builds the coefficients in place in the output
-arrays. Upwind advection keeps every off-diagonal entry nonnegative for any
-eps and h, which is what gives the discrete operator a real simple leading
-eigenvalue with a positive eigenvector.
+deterministic. Assembly samples each field straight into the output arrays
+with TrigExpr.on_grid, c into the diagonal and b_a into the x - h*e_a
+coefficients, and builds the stencil there in place, after a check that
+bounds every coefficient from the fields' harmonics. Upwind advection keeps
+every off-diagonal entry nonnegative for any eps and h, which is what gives
+the discrete operator a real simple leading eigenvalue with a positive
+eigenvector.
 """
 from __future__ import annotations
 
@@ -20,12 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLargeError
+from .errors import CoefficientOverflowError, GridTooLargeError
+from .expr import grid_angles
 
 TWO_PI = 2.0 * math.pi
 
 # refuse grids with more rows than this
 MAX_GRID_SIZE = 2**24
+
+# assemble requires its a-priori coefficient bound times this to be finite
+OVERFLOW_MARGIN = 1.0 + 2.0**-20
 
 __all__ = ["Grid", "SparseOperator", "assemble"]
 
@@ -53,7 +60,7 @@ class Grid:
         return self.n**self.dim
 
     def axis(self):
-        return TWO_PI * np.arange(self.n) / self.n
+        return grid_angles(self.n)
 
     def coord_arrays(self):
         """dim arrays of length size: coordinates of every grid point, row-major."""
@@ -64,9 +71,6 @@ class Grid:
         """dim broadcastable axis arrays, the a-th of shape (n,) along axis a
         and 1 elsewhere; fields evaluated on them have shape (n,)*dim."""
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij", sparse=True)
-
-    def flat_index(self, multi):
-        return int(np.ravel_multi_index([m % self.n for m in multi], (self.n,) * self.dim))
 
 
 class SparseOperator:
@@ -79,7 +83,9 @@ class SparseOperator:
     rows at flat stride n**(dim-1-a), then one over the n**(dim-1) rows
     that wrap around axis a, which overwrites the rows the flat shift got
     wrong. It adds the terms to out in the order k = 0, 1, ..., so each row
-    sees the same products summed in the same order for any out and x.
+    sees the same products summed in the same order for any out and x. The
+    scratch row is the operator's own, made by the first apply, so apply is
+    not safe to call from two threads at once on one operator.
     """
 
     def __init__(self, grid, diag, off):
@@ -88,6 +94,7 @@ class SparseOperator:
         self.off = off  # (2*dim, N) neighbour coefficients
         self.min_offdiag = float(off.min())
         self._shifts = _shift_plan(grid, off)
+        self._term = None  # apply's scratch row
 
     @property
     def is_metzler(self):
@@ -110,23 +117,15 @@ class SparseOperator:
         np.multiply(self.diag, x, out=out)
         shape = (self.grid.n,) * self.grid.dim
         grid_x = x.reshape(shape)
-        term = _line_aligned_empty(self.grid.size)
+        if self._term is None:
+            self._term = _line_aligned_empty(self.grid.size)
+        term = self._term
         grid_term = term.reshape(shape)
         for off, wrap_off, dst, src, wrap_dst, wrap_src in self._shifts:
             np.multiply(off, x[src], out=term[dst])
             np.multiply(wrap_off, grid_x[wrap_src], out=grid_term[wrap_dst])
             out += term
         return out
-
-    def to_dense(self):
-        grid = self.grid
-        idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
-        rows = idx.ravel()
-        dense = np.diag(self.diag)
-        for a in range(grid.dim):
-            for k, step in ((2 * a, -1), (2 * a + 1, 1)):  # x + h*e_a, x - h*e_a
-                dense[rows, np.roll(idx, step, axis=a).ravel()] += self.off[k]
-        return dense
 
 
 def _line_aligned_empty(size):
@@ -174,29 +173,31 @@ def assemble(scenario, grid, eps):
     if grid.size > MAX_GRID_SIZE:
         raise GridTooLargeError(
             "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
-    h = grid.h
+    n, dim, h = grid.n, grid.dim, grid.h
     lap = eps / (h * h)
     # the diagonal holds -2*dim*lap, so that must not overflow either
-    if not 0.0 < 2 * grid.dim * lap < math.inf:
+    if not 0.0 < 2 * dim * lap < math.inf:
         raise ValueError("eps/h^2 = %r must be finite and positive" % lap)
-    mesh = grid.open_mesh()
-    # every array below is built in place in diag, off or one drift field
-    diag = _field(scenario.c, mesh)
-    diag += -2.0 * grid.dim * lap
-    off = np.empty((2 * grid.dim, grid.size))
+    # |f| <= sum |a_m| bounds every diag and off entry by this sum of bounds;
+    # the margin covers the rounding of the sums that form each sample
+    bound = (scenario.c.abs_sum(dim) + 2 * dim * lap
+             + sum(b.abs_sum(dim) for b in scenario.b) / h)
+    if not math.isfinite(bound * OVERFLOW_MARGIN):
+        raise CoefficientOverflowError(
+            "c and b/h reach %r, past the float range" % bound)
+    # every array below is built in place in diag or off
+    diag = scenario.c.on_grid(n, dim)
+    diag += -2.0 * dim * lap
+    off = np.empty((2 * dim, grid.size))
     for a, b in enumerate(scenario.b):
-        ba = _field(b, mesh)
+        ba = b.on_grid(n, dim, out=off[2 * a + 1])
         bp = np.maximum(ba, 0.0, out=off[2 * a])
-        bm = np.maximum(np.negative(ba, out=ba), 0.0, out=off[2 * a + 1])
+        bm = np.maximum(np.negative(ba, out=ba), 0.0, out=ba)
         bp /= h
         bm /= h
-        # one of bp, bm is 0 in each row, so this sum is exactly (bp + bm)/h
-        diag -= np.add(bp, bm, out=ba)
+        # one of bp, bm is 0 in each row, so this is exactly diag - (bp + bm)/h
+        diag -= bp
+        diag -= bm
         bp += lap
         bm += lap
     return SparseOperator(grid, diag, off)
-
-
-def _field(expr, mesh):
-    """Samples of expr on the open mesh, flattened row-major."""
-    return np.asarray(expr(*mesh), dtype=float).ravel()

@@ -11,6 +11,19 @@ SINK_3D = {
 }
 
 
+def to_dense(op):
+    """Oracle: the dense matrix of a stencil operator, each neighbour
+    coupling placed at the column np.roll finds for it."""
+    grid = op.grid
+    idx = np.arange(grid.size).reshape((grid.n,) * grid.dim)
+    rows = idx.ravel()
+    dense = np.diag(op.diag)
+    for a in range(grid.dim):
+        for k, step in ((2 * a, -1), (2 * a + 1, 1)):  # x + h*e_a, x - h*e_a
+            dense[rows, np.roll(idx, step, axis=a).ravel()] += op.off[k]
+    return dense
+
+
 def dense_principal(dense):
     """Oracle: leading eigenpair of a dense matrix by full nonsymmetric solve.
 

@@ -108,3 +108,21 @@ class TestBoundFit:
     def test_rational_fails_declared(self):
         ok, margin = check_declared_bound((1.0, 1.5), 64, 0.5, 0.5)
         assert not ok
+
+
+class TestOverflow:
+    @pytest.mark.filterwarnings("error")
+    def test_products_past_float_range(self):
+        # m1*1e308 is inf for |m1| >= 2, which keeps its order: the smallest
+        # divisors are the m1 = 0 ones, |m2|, so the margin is 1*1/0.5
+        ok, margin = check_declared_bound((1e308, 1.0), 64, 0.5, 0.5)
+        assert ok and margin == 2.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_divisor_fails(self):
+        # every true |m.k| is past 1e307 here, but m = (2, 2) gives
+        # inf - inf = nan, which the check cannot bound, so it fails
+        k = (1e308, -PHI * 1e308)
+        r2, divs = _divisor_grid(k, 64)
+        assert np.isnan(divs).any() and np.nanmin(divs) > 1e307
+        assert check_declared_bound(k, 64, 0.5, 0.5) == (False, 0.0)

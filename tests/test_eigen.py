@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SINK_3D, dense_principal, l2_normalize
+from conftest import SINK_3D, dense_principal, l2_normalize, to_dense
 from driftlab import eigen
 from driftlab.eigen import (
     EigenPair,
@@ -137,7 +137,7 @@ class TestArnoldiAgainstDenseOracle:
         tol = 1e-11
         op = CountingOperator(assemble(s, Grid(s.dim, n), eps))
         pair = principal_eigenpair(op, tol=tol)
-        lam_d, _, _ = dense_principal(op.to_dense())
+        lam_d, _, _ = dense_principal(to_dense(op))
         assert pair.certified
         assert abs(pair.lam - lam_d) <= 1e-10
         assert pair.lam_lo <= pair.lam <= pair.lam_hi
@@ -161,11 +161,26 @@ class TestArnoldiAgainstDenseOracle:
         # alone must stop the solver, long before the budget
         s = builtin_scenario("stable-point")
         small = assemble(s, Grid(1, 16), 0.05)
-        np.testing.assert_array_equal(transposed(small).to_dense(), small.to_dense().T)
+        np.testing.assert_array_equal(to_dense(transposed(small)), to_dense(small).T)
         op = CountingOperator(transposed(assemble(s, Grid(1, 512), 0.05)))
         pair = principal_eigenpair(op, max_iter=20_000)
         assert not pair.certified
         assert pair.iterations == op.applies < 2_000
+
+    @pytest.mark.parametrize("s, n", [(builtin_scenario("mixed"), 16),
+                                      (scenario_from_dict(SINK_3D), 8)],
+                             ids=["mixed", "sink-3d"])
+    def test_stalled_bracket_certified_in_gauge(self, s, n):
+        # at eps = 0.05 u spans about 1e4, and rounding in its small entries
+        # stalls the plain bracket near 1e-12 to 1e-11; the run in the gauge
+        # of that u narrows it to below 1e-13
+        tol = 1e-13
+        op = CountingOperator(assemble(s, Grid(s.dim, n), 0.05))
+        pair = principal_eigenpair(op, tol=tol)
+        lam_d, _, _ = dense_principal(to_dense(op))
+        assert pair.certified
+        assert pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= pair.lam_hi
+        assert pair.iterations == op.applies
 
     def test_unreachable_tolerance_stops_early(self):
         # rounding keeps this bracket near 2e-12 wide: the solver must give
@@ -173,7 +188,7 @@ class TestArnoldiAgainstDenseOracle:
         s = builtin_scenario("stable-point")
         op = assemble(s, Grid(1, 64), 0.05)
         pair = principal_eigenpair(op, tol=1e-15)
-        lam_d, _, _ = dense_principal(op.to_dense())
+        lam_d, _, _ = dense_principal(to_dense(op))
         assert not pair.certified
         assert pair.iterations < 1000
         assert pair.lam_lo <= pair.lam <= pair.lam_hi
@@ -194,7 +209,7 @@ class TestSolvesAgainstDenseOracle:
         g = Grid(1, 64)
         op = assemble(s, g, 0.05)
         pair = principal_eigenpair(op, tol=1e-12)
-        lam_d, v_d, _ = dense_principal(op.to_dense())
+        lam_d, v_d, _ = dense_principal(to_dense(op))
         assert pair.lam == pytest.approx(lam_d, abs=1e-8)
         v_d = l2_normalize(v_d, g.h, 1)
         assert np.max(np.abs(pair.u - v_d)) <= 1e-6
@@ -203,14 +218,14 @@ class TestSolvesAgainstDenseOracle:
         s = bare_scenario(1, ["-sin(x1)"], "cos(x1)")
         op = assemble(s, Grid(1, 64), 0.1)
         pair = principal_eigenpair(op, tol=1e-12)
-        lam_d, _, _ = dense_principal(op.to_dense())
+        lam_d, _, _ = dense_principal(to_dense(op))
         assert pair.lam == pytest.approx(lam_d, abs=1e-10)
 
     def test_perron_dominance_small_grids(self):
         for s in map(builtin_scenario, BUILTIN_NAMES):
             op = assemble(s, Grid(s.dim, 16), 0.1)
             pair = principal_eigenpair(op, tol=1e-10)
-            dense = op.to_dense()
+            dense = to_dense(op)
             lam, vecs = np.linalg.eig(dense)
             lead = np.argmax(lam.real)
             assert abs(lam[lead].imag) <= 1e-9, s.name

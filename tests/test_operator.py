@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SINK_3D
-from driftlab import operator
-from driftlab.errors import GridTooLargeError
+from conftest import SINK_3D, to_dense
+from driftlab import expr, operator
+from driftlab.errors import CoefficientOverflowError, GridTooLargeError
 from driftlab.expr import TrigExpr, parse_expr
 from driftlab.operator import Grid, assemble
 from driftlab.scenario import (
@@ -23,14 +23,12 @@ def bare_scenario(dim, b, c, L="0"):
     })
 
 
-class TestGrid:
-    def test_bijection(self):
-        g = Grid(2, 8)
-        seen = {g.flat_index((i, j)) for i in range(8) for j in range(8)}
-        assert seen == set(range(64))
-        assert g.flat_index((3, 5)) == 3 * 8 + 5
-        assert g.flat_index((8 + 3, 5)) == g.flat_index((3, 5))
+def flat_index(g, multi):
+    """Row of the grid point with index tuple multi, taken mod n per axis."""
+    return int(np.ravel_multi_index([m % g.n for m in multi], (g.n,) * g.dim))
 
+
+class TestGrid:
     def test_minimum_points(self):
         with pytest.raises(ValueError):
             Grid(1, 4)
@@ -88,8 +86,8 @@ class TestOpenMesh:
             np.testing.assert_array_equal(bits(values.ravel()), bits(f(*flat)), str(f))
 
     def test_assembly_evaluates_factors_on_axes(self, monkeypatch):
-        # every factor of "mixed" depends on one axis: sin and cos run on
-        # the n points of that axis, not on the n^2 grid points
+        # assembly runs sin and cos on each axis's frequency tables, a few
+        # times n points, not on the n^2 grid points
         n = 256
         sizes = []
         for name in ("sin", "cos"):
@@ -102,8 +100,62 @@ class TestOpenMesh:
         assert sizes and max(sizes) <= 8 * n
 
 
+EXTRA_FIELDS = [parse_expr("sin(x1 - 2*x2) + 3"),
+                parse_expr("0.5*cos(x1 + x2 - x3)*sin(3*x3 + 0.25) - 1"),
+                TrigExpr.zero(), TrigExpr.constant(-2.5)]
+
+
+def assert_on_grid_matches_pointwise(f, dim, n):
+    """on_grid against __call__ at the flat grid coordinates, to 8 rounding
+    errors of sum |a_m|, the bound on |f| that the harmonics give."""
+    g = Grid(dim, n)
+    want = f(*g.coord_arrays())
+    got = f.on_grid(n, dim)
+    assert got.shape == want.shape == (g.size,)
+    tol = 8 * np.finfo(float).eps * f.abs_sum(dim)
+    assert np.max(np.abs(got - want)) <= tol, (str(f), dim, n)
+
+
+class TestOnGrid:
+    @pytest.mark.parametrize("n", [8, 9, 33])
+    @pytest.mark.parametrize("fields", [all_fields(s) for s in FIELD_CASES] + [EXTRA_FIELDS],
+                             ids=[s.name for s in FIELD_CASES] + ["extra"])
+    def test_matches_pointwise(self, fields, n):
+        for f in fields:
+            for dim in range(max(f.nvars, 1), 4):
+                assert_on_grid_matches_pointwise(f, dim, n)
+
+    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9)])
+    def test_axis_in_blocks(self, monkeypatch, dim, n):
+        # a last axis longer than TABLE_COLUMNS is filled one block at a time
+        monkeypatch.setattr(expr, "TABLE_COLUMNS", 4)
+        for f in [parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"),
+                  parse_expr("sin(x1 - 2*x2) + 3")]:
+            if f.nvars <= dim:
+                assert_on_grid_matches_pointwise(f, dim, n)
+
+    def test_fills_out(self):
+        f = parse_expr("cos(x1)*sin(x2)")
+        out = np.full((2, 64), np.nan)
+        row = out[1]
+        assert f.on_grid(8, 2, out=row) is row
+        np.testing.assert_array_equal(row, f.on_grid(8, 2))
+        assert np.isnan(out[0]).all()
+
+    @pytest.mark.parametrize("out", [np.empty(63), np.empty((64, 2))[:, 0],
+                                     np.empty(64, dtype=np.float32)],
+                             ids=["size", "strided", "dtype"])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError, match="out"):
+            parse_expr("cos(x1)").on_grid(8, 2, out=out)
+
+    def test_abs_sum(self):
+        assert parse_expr("3*cos(x1) - 2*sin(x1 + x2) + 0.5").abs_sum(2) == 5.5
+        assert TrigExpr.zero().abs_sum(1) == 0.0
+
+
 def gather_apply(op, x):
-    """Reference mat-vec: gathers each neighbour by its Grid.flat_index row."""
+    """Reference mat-vec: gathers each neighbour by its flat_index row."""
     g = op.grid
     out = op.diag * x
     for a in range(g.dim):
@@ -112,20 +164,20 @@ def gather_apply(op, x):
             for r in range(g.size):
                 multi = list(np.unravel_index(r, (g.n,) * g.dim))
                 multi[a] += step
-                nbr[r] = g.flat_index(multi)
+                nbr[r] = flat_index(g, multi)
             out += op.off[k] * x[nbr]
     return out
 
 
 def reference_assemble(s, g, eps):
-    """Reference assembly: the stencil formulas with a new array per step."""
-    mesh = g.open_mesh()
+    """Reference assembly: the stencil formulas with a new array per step,
+    from the same field samples as assemble."""
     h = g.h
     lap = eps / (h * h)
-    diag = np.full(g.size, -2.0 * g.dim * lap) + s.c(*mesh).ravel()
+    diag = np.full(g.size, -2.0 * g.dim * lap) + s.c.on_grid(g.n, g.dim)
     off = np.empty((2 * g.dim, g.size))
     for a, b in enumerate(s.b):
-        ba = b(*mesh).ravel()
+        ba = b.on_grid(g.n, g.dim)
         bp = np.maximum(ba, 0.0)
         bm = np.maximum(-ba, 0.0)
         off[2 * a] = lap + bp / h
@@ -146,12 +198,13 @@ class TestAssembleStencil:
             np.testing.assert_array_equal(bits(op.off), bits(off))
 
     @pytest.mark.parametrize("s, n", [
+        (builtin_scenario("stable-point"), 2**18),
         (builtin_scenario("mixed"), 512),
         (scenario_from_dict(SINK_3D), 64),
-    ], ids=["2d", "3d"])
+    ], ids=["1d", "2d", "3d"])
     def test_peak_memory(self, s, n):
-        # the operator itself is 2*dim + 1 rows; assembly may add at most
-        # four more while it evaluates the fields
+        # the operator itself is 2*dim + 1 rows; the fields are sampled
+        # straight into it, so assembly adds less than one more
         g = Grid(s.dim, n)
         tracemalloc.start()
         try:
@@ -161,7 +214,7 @@ class TestAssembleStencil:
         finally:
             tracemalloc.stop()
         assert op.off.shape == (2 * s.dim, g.size)
-        assert peak < (2 * s.dim + 5) * g.size * 8
+        assert peak < (2 * s.dim + 2) * g.size * 8
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_pure_laplacian(self, dim):
@@ -170,7 +223,7 @@ class TestAssembleStencil:
         eps = 0.37
         op = assemble(s, g, eps)
         e = eps / g.h**2
-        dense = op.to_dense()
+        dense = to_dense(op)
         rowsums = op.apply(np.ones(g.size))
         # -2*dim*e + e + ... is exact in 1D; its partial sums can round in 2D and 3D
         tol = 0.0 if dim == 1 else 4 * dim * e * np.finfo(float).eps
@@ -182,7 +235,7 @@ class TestAssembleStencil:
                 for step in (1, -1):
                     shifted = list(multi)
                     shifted[a] += step
-                    want[g.flat_index(shifted)] = e
+                    want[flat_index(g, shifted)] = e
             assert len(want) == 2 * dim + 1
             cols = np.flatnonzero(dense[r])
             assert set(cols) == set(want)
@@ -193,7 +246,7 @@ class TestAssembleStencil:
         s = bare_scenario(1, ["0"], "2.5")
         g = Grid(1, 16)
         op = assemble(s, g, 0.1)
-        lam = np.linalg.eigvals(op.to_dense())
+        lam = np.linalg.eigvals(to_dense(op))
         lead = lam[np.argmax(lam.real)]
         assert lead.imag == pytest.approx(0.0, abs=1e-12)
         assert lead.real == pytest.approx(2.5, abs=1e-10)
@@ -219,7 +272,7 @@ class TestAssembleStencil:
         rng = np.random.default_rng(3)
         g = Grid(s.dim, n)
         op = assemble(s, g, 0.15)
-        dense = op.to_dense()
+        dense = to_dense(op)
         for _ in range(3):
             x = rng.standard_normal(g.size)
             got = op.apply(x)
@@ -292,6 +345,34 @@ class TestConsistencyOrder:
             want = np.asarray(image(*coords), dtype=float)
             errs.append(np.max(np.abs(got - want)))
         assert 1.7 <= errs[0] / errs[1] <= 2.3
+
+
+class TestCoefficientOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b, c", [(["1e308*sin(x1)"], "0"),
+                                      (["0"], "1e308*cos(x1) + 1e308")],
+                             ids=["drift", "potential"])
+    def test_refused_before_any_grid_pass(self, monkeypatch, b, c):
+        # |b|/h reaches 1e308*64/(2*pi) and c reaches 2e308: neither is a float
+        s = bare_scenario(1, b, c)
+        passes = []
+        monkeypatch.setattr(TrigExpr, "on_grid", lambda *args, **kw: passes.append(args))
+        with pytest.raises(CoefficientOverflowError):
+            assemble(s, Grid(1, 64), 0.1)
+        assert passes == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_drifts_summed_over_axes(self):
+        # each |b_a|/h is finite, but the diagonal sums them
+        s = bare_scenario(2, ["1e307*sin(x1)", "1e307*sin(x2)"], "0")
+        with pytest.raises(CoefficientOverflowError):
+            assemble(s, Grid(2, 64), 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_fields_accepted(self):
+        s = bare_scenario(1, ["1e300*sin(x1)"], "1e308*cos(x1)")
+        op = assemble(s, Grid(1, 64), 0.1)
+        assert np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.off))
 
 
 class TestEpsRange:
