@@ -8,8 +8,9 @@ irreducible A and any u > 0 that bracket contains the Perron eigenvalue, so
 its width bounds the error of lam. Between cycles the basis is cut back to
 the span of the KEEP rightmost Ritz vectors, in place (Stewart's
 Krylov-Schur restart, with an orthonormalized real basis of Ritz vectors in
-place of the Schur vectors). A run whose bracket stalls is repeated once in
-the diagonal gauge of its u, where the Perron vector is near 1 everywhere.
+place of the Schur vectors). A run whose bracket stalls restarts once, in
+the same loop, in the diagonal gauge of its best u, where the Perron vector
+is near 1 everywhere.
 """
 from __future__ import annotations
 
@@ -57,78 +58,45 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     """Leading eigenvalue and positive eigenfunction of a Metzler operator.
 
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
-    [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide. `iterations` counts
-    every op.apply call, at most max_iter of them. A run ends when they run
-    out, or when STALL_CYCLES cycles in a row improve neither the bracket
-    width nor, at equal width, the residual. A Ritz vector is accurate in
-    norm, not entry by entry, so where u spans many decades a stalled
-    bracket is rounding in u's small entries. A run that stalls at a
-    positive u is followed by one more run in the gauge of that u: Arnoldi
-    on D^-1 A D with D = diag(u), applied as op.apply(u*v)/u, whose Perron
-    vector is near 1 in every entry. The iterate with the narrowest bracket
-    (without one, the smallest residual) is returned, flagged uncertified
-    unless its bracket meets tol.
+    [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf.
+    `iterations` counts every op.apply call, at most max_iter of them. A run
+    ends when they run out, or when STALL_CYCLES cycles in a row improve
+    neither the bracket width nor, at equal width, the residual. A Ritz
+    vector is accurate in norm, not entry by entry, so where u spans many
+    decades a stalled bracket is rounding in u's small entries. The first
+    stall at a positive u therefore restarts the run, once, in the gauge of
+    that u: Arnoldi on D^-1 A D with D = diag(u), applied as
+    op.apply(u*v)/u, whose Perron vector is near 1 in every entry. The
+    iterate with the narrowest bracket (without one, the smallest residual)
+    is returned, flagged uncertified unless its bracket meets tol.
     """
+    _check_budget(tol, max_iter)
     if not op.is_metzler:
         raise NonMetzlerError(
             "off-diagonal entries reach %g < 0" % op.min_offdiag)
     if not op.is_irreducible:
         raise NotIrreducibleError(
             "zero neighbor couplings: Perron structure not certified")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 2:
-        raise ValueError("max_iter must allow one Arnoldi step and one check")
     size = op.grid.size
     m = KRYLOV_DIM
     if (m + 1) * size * 8 > BASIS_MAX_BYTES:
         raise GridTooLargeError(
             "Krylov basis of %d x %d floats exceeds %d bytes"
             % (m + 1, size, BASIS_MAX_BYTES))
-    if x0 is None:
-        x = np.ones(size)
-    else:
-        x = np.asarray(x0, dtype=float)
-        if x.shape != (size,):
-            raise ValueError("x0 has wrong length")
+    x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (size,):
+        raise ValueError("x0 has wrong length")
+    top = float(np.max(np.abs(x)))
+    if not 0.0 < top < math.inf:
+        raise ValueError("x0 must be finite and nonzero")
+    # an exact power-of-two scaling to max|x| in [1/2, 1): the squared norm
+    # neither over- nor underflows, and the unit vector is that of x0
+    x = np.ldexp(x, -math.frexp(top)[1])
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
-    with np.errstate(over="ignore", under="ignore"):
-        squares = np.sum(x * x)
-    if not np.finfo(float).tiny <= squares < math.inf:
-        # zero, not finite, or a squared norm that over- or underflowed:
-        # only the last is a valid start, once scaled by max|x|
-        scale = np.max(np.abs(x))
-        if not 0.0 < scale < math.inf:
-            raise ValueError("x0 must be finite and nonzero")
-        x = x / scale
-        squares = np.sum(x * x)
-    V[0] = x / math.sqrt(squares)
-    best, calls, stalled = _arnoldi(op, V, None, tol, max_iter)
-    lam, u, residual, certified, lo, hi = best
-    if stalled and not certified and lo > -math.inf and max_iter - calls >= 2:
-        V[0] = 1.0 / math.sqrt(size)
-        gauged, more, _ = _arnoldi(op, V, u, tol, max_iter - calls)
-        calls += more
-        best = min(best, gauged, key=_rank)
-
-    lam, u, residual, certified, lo, hi = best
-    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
-    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
-                     certified=certified, lam_lo=lo, lam_hi=hi)
-
-
-def _arnoldi(op, V, gauge, tol, max_calls):
-    """One thick-restart Arnoldi run from the unit vector V[0], on op or,
-    with a positive gauge u, on diag(u)^-1 op diag(u).
-
-    Returns (the best iterate (lam, u, residual, certified, lo, hi) by
-    _rank, op.apply calls made, whether it stopped on a stall). u and its
-    bracket are always op's, so a gauge changes only the basis.
-    """
-    m = V.shape[0] - 1
+    V[0] = x / math.sqrt(np.sum(x * x))
     H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
-    scaled = None if gauge is None else np.empty_like(gauge)
+    gauge = scaled = None
     j = 0  # basis vectors with their column of H
     calls = 0
     best = None
@@ -136,7 +104,7 @@ def _arnoldi(op, V, gauge, tol, max_calls):
     roundoff = np.finfo(float).eps
     while True:
         invariant = False
-        for _ in range(min(m - j, max_calls - calls - 1)):
+        for _ in range(min(m - j, max_iter - calls - 1)):
             if gauge is None:
                 w = op.apply(V[j], out=V[j + 1])  # the next basis row, made in place
             else:
@@ -180,10 +148,33 @@ def _arnoldi(op, V, gauge, tol, max_calls):
             best, stale = iterate, 0
         else:
             stale += 1  # neither bracket nor residual improves: rounding
-        if certified or invariant or stale == STALL_CYCLES or max_calls - calls < 2:
-            return best, calls, stale == STALL_CYCLES
-        if j == m:
+        if certified or max_iter - calls < 2:
+            break
+        if stale == STALL_CYCLES and gauge is None and best[4] > -math.inf:
+            # restart from the constant vector in the gauge of the best u; a
+            # stale H would move lam and the bracket in the last digits
+            gauge, scaled = best[1], np.empty(size)
+            V[0] = 1.0 / math.sqrt(size)
+            H[:] = 0.0
+            j = stale = 0
+        elif invariant or stale == STALL_CYCLES:
+            break
+        elif j == m:
             j = _restart(V, H, theta, Y, order)
+
+    lam, u, residual, certified, lo, hi = best
+    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
+    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
+                     certified=certified, lam_lo=lo, lam_hi=hi)
+
+
+def _check_budget(tol, max_iter):
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError("max_iter must be an integer, got %r" % (max_iter,))
+    if max_iter < 2:
+        raise ValueError("max_iter must allow one Arnoldi step and one check")
 
 
 def _rank(iterate):
@@ -242,6 +233,7 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     Per-entry failures are recorded on the entry, not raised, so one bad
     epsilon does not abort the rest of the sweep.
     """
+    _check_budget(tol, max_iter)
     eps_list = [float(e) for e in eps_list]
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ScheduleError("eps schedule must be positive and finite")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +149,25 @@ class Scenario:
 
     `components` are component specs in the JSON form that scenario_from_dict
     reads, such as {"type": "point", "location": [0.0]}; the scenario holds
-    them as Point, Cycle and Torus objects with their linearizations.
+    them as Point, Cycle and Torus objects with their linearizations. The
+    arguments are checked as their JSON values would be: a string name, an
+    integer dim, a list of expression strings b, strings c and L, a list of
+    components whose numeric fields are finite real numbers. Any other input
+    raises ScenarioFormatError.
     """
 
     def __init__(self, name, dim, b, c, L, components=()):
-        self.name = str(name)
-        self.dim = int(dim)
+        try:
+            if not isinstance(name, str):
+                raise ValueError("name %r is not a string" % (name,))
+            self.dim = _integer(dim)
+            b = _sequence(b, "b")
+            if not all(isinstance(e, str) for e in (*b, c, L)):
+                raise ValueError("b must be a list of expression strings, c and L strings")
+            components = _sequence(components, "components")
+        except ValueError as exc:
+            raise ScenarioFormatError("malformed scenario field: %s" % exc)
+        self.name = name
         if self.dim not in (1, 2, 3):
             raise ScenarioFormatError("dim must be 1, 2 or 3")
         self.b = tuple(parse_expr(e) for e in b)
@@ -190,7 +204,7 @@ class Scenario:
         kind = spec["type"]
         try:
             if kind == "point":
-                P = np.array([_finite(v) for v in spec["location"]])
+                P = np.array([_finite(v) for v in _sequence(spec["location"], "location")])
                 if P.shape != (self.dim,):
                     raise ScenarioFormatError(
                         "point location needs %d coordinates" % self.dim)
@@ -212,7 +226,7 @@ class Scenario:
             if kind == "torus":
                 if self.dim != 2:
                     raise ScenarioFormatError("a torus needs dim 2")
-                k = np.array([_finite(v) for v in spec["k"]])
+                k = np.array([_finite(v) for v in _sequence(spec["k"], "k")])
                 if k.shape != (2,):
                     raise ScenarioFormatError("torus k needs two entries")
                 return Torus(k, _finite(spec["C"]), _finite(spec["alpha"]))
@@ -407,31 +421,33 @@ def builtin_scenario(name):
 
 
 def _integer(value):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError("%r is not an integer" % (value,))
-    return value
+    return int(value)
 
 
 def _finite(value):
-    x = float(value)
-    if not math.isfinite(x):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%r is not a number" % (value,))
+    if not math.isfinite(value):
         raise ValueError("%r is not finite" % (value,))
-    return x
+    return float(value)
+
+
+def _sequence(value, field):
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (field, value))
+    return value
 
 
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     try:
-        name = data["name"]
-        dim = _integer(data["dim"])
-        b, c, L = data["b"], data["c"], data["L"]
-        if not isinstance(b, list) or not all(isinstance(e, str) for e in (*b, c, L)):
-            raise TypeError("b must be a list of expression strings, c and L strings")
-        components = data.get("components", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioFormatError("missing or malformed scenario field: %s" % exc)
-    return Scenario(name, dim, b, c, L, components)
+        fields = [data[key] for key in ("name", "dim", "b", "c", "L")]
+    except KeyError as exc:
+        raise ScenarioFormatError("missing scenario field: %s" % exc)
+    return Scenario(*fields, data.get("components", []))
 
 
 def scenario_to_dict(scenario):

@@ -1,5 +1,7 @@
 import numpy as np
 
+from driftlab.scenario import load_scenario
+
 # a 3D sink: one attracting point at 0, the 3D case of the solver and
 # operator tests
 SINK_3D = {
@@ -9,6 +11,13 @@ SINK_3D = {
     "L": "3 - cos(x1) - cos(x2) - cos(x3)",
     "components": [{"type": "point", "location": [0.0, 0.0, 0.0]}],
 }
+
+
+def bare_scenario(dim, b, c, L="0"):
+    """A scenario with the given fields and no declared components."""
+    return load_scenario({
+        "name": "raw", "dim": dim, "b": b, "c": c, "L": L, "components": [],
+    })
 
 
 def to_dense(op):

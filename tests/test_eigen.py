@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SINK_3D, dense_principal, l2_normalize, to_dense
+from conftest import SINK_3D, bare_scenario, dense_principal, l2_normalize, to_dense
 from driftlab import eigen
 from driftlab.eigen import (
     EigenPair,
@@ -23,16 +23,9 @@ from driftlab.operator import Grid, SparseOperator, assemble
 from driftlab.scenario import (
     BUILTIN_NAMES,
     builtin_scenario,
-    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
-
-
-def bare_scenario(dim, b, c, L="0"):
-    return load_scenario({
-        "name": "raw", "dim": dim, "b": b, "c": c, "L": L, "components": [],
-    })
 
 
 # every builtin at n=16 and the 3D sink at n=8: small enough for dense eig
@@ -97,6 +90,27 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             principal_eigenpair(op, max_iter=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # with tol = inf the transpose below, whose Ritz vectors never turn
+        # positive, would come back certified with the bracket [-inf, inf]
+        s = builtin_scenario("stable-point")
+        op = CountingOperator(transposed(assemble(s, Grid(1, 512), 0.05)))
+        with pytest.raises(ValueError, match="tol"):
+            principal_eigenpair(op, tol=tol)
+        assert op.applies == 0
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, "50"])
+    def test_budget_must_be_an_integer(self, max_iter):
+        op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
+        with pytest.raises(ValueError, match="max_iter"):
+            principal_eigenpair(op, max_iter=max_iter)
+        assert op.applies == 0
+
+    def test_numpy_integer_budget_accepted(self):
+        op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
+        assert principal_eigenpair(op, max_iter=np.int64(500)).certified
+
     @pytest.mark.parametrize("fill", [0.0, math.nan], ids=["zero", "nan"])
     def test_bad_start_vector_rejected(self, fill):
         op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
@@ -114,6 +128,19 @@ class TestPreconditions:
             got = principal_eigenpair(op, x0=np.full(16, fill))
         assert got.certified
         assert got.lam == pytest.approx(want.lam, abs=1e-12)
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_start_vector_scale_is_exact(self, exponent):
+        # x0 and 2**exponent * x0 are the same start: every field of the pair
+        # must agree bitwise, not only to rounding
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.1)
+        v = 0.5 + np.random.default_rng(3).random(op.grid.size)
+        want = principal_eigenpair(op, x0=v)
+        got = principal_eigenpair(op, x0=np.ldexp(v, exponent))
+        np.testing.assert_array_equal(got.u, want.u)
+        assert ((got.lam, got.lam_lo, got.lam_hi, got.residual, got.iterations, got.certified)
+                == (want.lam, want.lam_lo, want.lam_hi, want.residual, want.iterations,
+                    want.certified))
 
 
 class TestMemoryGuard:
@@ -297,6 +324,17 @@ class TestSweep:
         for schedule in ([0.2, bad, 0.05], [bad, 0.1, 0.05], [0.2, 0.1, bad]):
             with pytest.raises(ScheduleError, match="finite"):
                 eigen_sweep(s, 32, schedule)
+
+    @pytest.mark.parametrize("budget", [{"tol": 0.0}, {"tol": math.inf}, {"max_iter": 1},
+                                        {"max_iter": 2.5}],
+                             ids=["tol-zero", "tol-inf", "max_iter-1", "max_iter-float"])
+    def test_bad_budget_rejected_before_assembly(self, budget, monkeypatch):
+        # raised at once, not recorded on every entry after assembling its operator
+        assembled = []
+        monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
+        with pytest.raises(ValueError):
+            eigen_sweep(builtin_scenario("stable-point"), 16, [0.2, 0.1, 0.05], **budget)
+        assert assembled == []
 
     def test_non_integer_n_rejected(self):
         # raised at once, not recorded on every entry

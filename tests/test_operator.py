@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SINK_3D, to_dense
+from conftest import SINK_3D, bare_scenario, to_dense
 from driftlab import expr, operator
 from driftlab.errors import CoefficientOverflowError, GridTooLargeError
 from driftlab.expr import TrigExpr, parse_expr
@@ -12,15 +12,8 @@ from driftlab.operator import Grid, assemble
 from driftlab.scenario import (
     BUILTIN_NAMES,
     builtin_scenario,
-    load_scenario,
     scenario_from_dict,
 )
-
-
-def bare_scenario(dim, b, c, L="0"):
-    return load_scenario({
-        "name": "raw", "dim": dim, "b": b, "c": c, "L": L, "components": [],
-    })
 
 
 def flat_index(g, multi):

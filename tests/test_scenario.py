@@ -325,12 +325,42 @@ class TestJsonForm:
         ' "components": [{"type": "torus", "k": [1.0, 1.5, 2.0], "C": 0.5, "alpha": 0.5}]}',
         '{"name": "x", "dim": 3, "b": ["1", "1.5", "0"], "c": "0", "L": "0",'
         ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": 0.5, "alpha": 0.5}]}',
+        '{"name": null, "dim": 1, "b": ["0"], "c": "0", "L": "0"}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": "12", "C": 0.5, "alpha": 0.5}]}',
+        '{"name": "x", "dim": 1, "b": ["0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "point", "location": "0"}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "1.5"], "c": "0", "L": "0",'
+        ' "components": [{"type": "torus", "k": [1.0, 1.5], "C": true, "alpha": 0.5}]}',
+        '{"name": "x", "dim": 2, "b": ["1", "0"], "c": "0", "L": "0",'
+        ' "components": [{"type": "cycle", "axis": 1, "level": "0", "period": 6.28}]}',
     ], ids=["b-string", "b-expression-string", "dim-float", "c-number", "location-nan",
             "level-nan", "period-inf", "k-nan", "C-inf", "alpha-inf", "cycle-in-dim-1",
-            "location-length", "k-three-entries", "torus-in-dim-3"])
+            "location-length", "k-three-entries", "torus-in-dim-3", "name-null",
+            "k-string", "location-string", "C-bool", "level-string"])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("components", [{"type": "point", "location": [0.0]}, "point"],
+                             ids=["dict", "string"])
+    def test_components_must_be_a_list(self, components):
+        # the list itself is malformed, not its first entry
+        with pytest.raises(ScenarioFormatError, match="components must be a list"):
+            scenario_from_dict({"name": "x", "dim": 1, "b": ["-sin(x1)"], "c": "0",
+                                "L": "0", "components": components})
+
+    @pytest.mark.parametrize("args", [
+        ("x", 2.5, ["-sin(x1)", "-sin(x2)"], "cos(x1)", "0"),
+        ("x", True, ["-sin(x1)"], "cos(x1)", "0"),
+        ("x", 1, "-sin(x1)", "cos(x1)", "0"),
+        ("x", 1, ["-sin(x1)"], 3.0, "0"),
+        (None, 1, ["-sin(x1)"], "cos(x1)", "0"),
+    ], ids=["dim-float", "dim-bool", "b-string", "c-number", "name-none"])
+    def test_constructor_checks_as_json_does(self, args):
+        # Scenario(...) and scenario_from_dict share one input path
+        with pytest.raises(ScenarioFormatError):
+            Scenario(*args)
 
     def test_cycle_axis_range(self):
         with pytest.raises(ScenarioFormatError):
