@@ -15,6 +15,7 @@ is near 1 everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
 
 def _check_budget(tol, max_iter):
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError("tol must be a real number, got %r" % (tol,))
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):

@@ -4,11 +4,14 @@ The operator is stored in stencil form: a diagonal and, for each of the 2*dim
 periodic neighbours x + h*e_a and x - h*e_a, one coefficient per row. Rows are
 numbered row-major on the (n,)*dim grid, so a neighbour along axis a sits
 n**(dim-1-a) rows away in flat memory except where it wraps around the torus;
-no row index map is stored. The mat-vec multiplies each neighbour's
-coefficients by x read at that flat shift, fixes the wrapped rows through a
-grid view, and sums the neighbour terms in a fixed order, so its result is
-deterministic. Assembly samples each field straight into the output arrays
-with TrigExpr.on_grid, c into the diagonal and b_a into the x - h*e_a
+no row index map is stored. The mat-vec walks the grid in blocks of whole
+axis-0 slabs of at most BLOCK_ROWS rows, so that each block's rows stay in
+cache while every neighbour term is added to them. In each block it
+multiplies each neighbour's coefficients by x read at that flat shift, fixes
+the wrapped rows through a grid view, and sums the neighbour terms in a
+fixed order, so its result is deterministic and does not depend on the
+blocks. Assembly samples each field straight into the output arrays with
+TrigExpr.on_grid, c into the diagonal and b_a into the x - h*e_a
 coefficients, and builds the stencil there in place, after a check that
 bounds every coefficient from the fields' harmonics. Upwind advection keeps
 every off-diagonal entry nonnegative for any eps and h, which is what gives
@@ -33,6 +36,11 @@ MAX_GRID_SIZE = 2**24
 
 # assemble requires its a-priori coefficient bound times this to be finite
 OVERFLOW_MARGIN = 1.0 + 2.0**-20
+
+# apply walks the grid in blocks of whole axis-0 slabs of at most this many
+# rows (one slab when a slab is longer): 256 KB per float row, so a block of
+# out, x, the scratch and one coefficient row stays in a 2 MB L2 cache
+BLOCK_ROWS = 2**15
 
 __all__ = ["Grid", "SparseOperator", "assemble"]
 
@@ -78,14 +86,19 @@ class SparseOperator:
 
     Row r is diag[r]*x[r] + sum_k off[k, r]*x[r_k], where r_k is the row of
     the x + h*e_a neighbour for k = 2a and of the x - h*e_a neighbour for
-    k = 2a + 1, rows numbered row-major on the (n,)*dim grid. apply forms
-    each neighbour term in one scratch row: a multiply over the contiguous
-    rows at flat stride n**(dim-1-a), then one over the n**(dim-1) rows
-    that wrap around axis a, which overwrites the rows the flat shift got
-    wrong. It adds the terms to out in the order k = 0, 1, ..., so each row
-    sees the same products summed in the same order for any out and x. The
-    scratch row is the operator's own, made by the first apply, so apply is
-    not safe to call from two threads at once on one operator.
+    k = 2a + 1, rows numbered row-major on the (n,)*dim grid. apply walks
+    the grid in blocks of whole axis-0 slabs, at most BLOCK_ROWS rows each
+    unless one slab is longer. In each block it writes diag*x to out, then
+    forms each neighbour term in a block-sized scratch: a multiply over the
+    block's rows at flat stride n**(dim-1-a), which reads x across the block
+    edge along axis 0, then one over the block's rows that wrap around axis
+    a, which overwrites the rows the flat shift got wrong. It adds the terms
+    to the block of out in the order k = 0, 1, ..., so each row sees the
+    same products summed in the same order for any out, x and blocks. The
+    scratch and the views of diag, off and the scratch that each block uses
+    are made once, with the operator, so apply is not safe to call from two
+    threads at once on one operator. Like min_offdiag, the views assume
+    diag and off are not replaced.
     """
 
     def __init__(self, grid, diag, off):
@@ -93,8 +106,7 @@ class SparseOperator:
         self.diag = diag  # (N,)
         self.off = off  # (2*dim, N) neighbour coefficients
         self.min_offdiag = float(off.min())
-        self._shifts = _shift_plan(grid, off)
-        self._term = None  # apply's scratch row
+        self._plan = _block_plan(grid, diag, off)
 
     @property
     def is_metzler(self):
@@ -107,24 +119,27 @@ class SparseOperator:
         return self.min_offdiag > 0.0
 
     def apply(self, x, out=None):
+        size = self.grid.size
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.grid.size,):
-            raise ValueError("vector length %d, expected %d" % (x.size, self.grid.size))
+        if x.shape != (size,):
+            raise ValueError("vector length %d, expected %d" % (x.size, size))
         if out is None:
-            out = _line_aligned_empty(self.grid.size)
+            out = _line_aligned_empty(size)
+        elif not isinstance(out, np.ndarray) or out.shape != (size,):
+            raise ValueError("out must be an array of shape (%d,)" % size)
         elif np.may_share_memory(out, x):
             raise ValueError("out must not overlap x")
-        np.multiply(self.diag, x, out=out)
-        shape = (self.grid.n,) * self.grid.dim
-        grid_x = x.reshape(shape)
-        if self._term is None:
-            self._term = _line_aligned_empty(self.grid.size)
-        term = self._term
-        grid_term = term.reshape(shape)
-        for off, wrap_off, dst, src, wrap_dst, wrap_src in self._shifts:
-            np.multiply(off, x[src], out=term[dst])
-            np.multiply(wrap_off, grid_x[wrap_src], out=grid_term[wrap_dst])
-            out += term
+        elif np.may_share_memory(out, self.diag) or np.may_share_memory(out, self.off):
+            raise ValueError("out must not overlap the operator's diag or off")
+        grid_x = x.reshape((self.grid.n,) * self.grid.dim)
+        for rows, diag, term, terms in self._plan:
+            block = out[rows]
+            np.multiply(diag, x[rows], out=block)
+            for off, dst, src, wraps in terms:
+                np.multiply(off, x[src], out=dst)
+                for wrap_off, wrap_dst, wrap_src in wraps:
+                    np.multiply(wrap_off, grid_x[wrap_src], out=wrap_dst)
+                block += term
         return out
 
 
@@ -138,30 +153,53 @@ def _line_aligned_empty(size):
     return buf[lead:lead + size]
 
 
-def _shift_plan(grid, off):
-    """Per neighbour k, the operands (off[k, dst], wrap_off, dst, src,
-    wrap_dst, wrap_src) of apply.
+def _block_plan(grid, diag, off):
+    """Per block of whole axis-0 slabs, the operands (rows, diag[rows], term,
+    terms) of apply: term is the block's length of one scratch row that all
+    blocks share, and terms holds (off[k, dst rows], dst, src, wraps) for
+    each neighbour k.
 
     Along axis a the x + h*e_a neighbour (k = 2a) of a row is st =
     n**(dim-1-a) rows on and the x - h*e_a neighbour (k = 2a + 1) st rows
-    back, so the flat slices dst and src pair each row with its neighbour,
-    except on the face of axis a that wraps around the torus. On the
-    (n,)*dim grid, wrap_dst indexes that face, wrap_off is off[k] there and
-    wrap_src the opposite face, which holds its periodic neighbours. Like
-    min_offdiag, the views of off assume it is not replaced."""
+    back. dst is the view of the block's scratch term whose rows have their
+    neighbour at that flat shift in x, and src the slice of x that holds
+    those neighbours; it may reach past the block. Some of those rows sit
+    on the face of axis a that wraps around the torus; wraps holds, for the
+    part of that face inside the block, (off[k] there, the term's rows
+    there, the index of the opposite face in the (n,)*dim grid view of x),
+    and apply writes it after dst, so it overwrites them. Along axis 0 a
+    block meets the wrapping face only if it holds the first or last slab."""
     n, dim, size = grid.n, grid.dim, grid.size
+    slab = size // n
+    per_block = max(1, BLOCK_ROWS // slab)
+    scratch = _line_aligned_empty(min(per_block, n) * slab)
     grid_off = off.reshape((2 * dim,) + (n,) * dim)
-
-    def face(a, i):
-        return (slice(None),) * a + (i, Ellipsis)
-
     plan = []
-    for a in range(dim):
-        st = n ** (dim - 1 - a)
-        for k, dst, src, wrap_dst, wrap_src in (
-                (2 * a, slice(0, size - st), slice(st, size), face(a, n - 1), face(a, 0)),
-                (2 * a + 1, slice(st, size), slice(0, size - st), face(a, 0), face(a, n - 1))):
-            plan.append((off[k, dst], grid_off[k][wrap_dst], dst, src, wrap_dst, wrap_src))
+    for i0 in range(0, n, per_block):
+        i1 = min(i0 + per_block, n)
+        lo, hi = i0 * slab, i1 * slab
+        term = scratch[:hi - lo]
+        grid_term = term.reshape((i1 - i0,) + (n,) * (dim - 1))
+        terms = []
+        for a in range(dim):
+            st = n ** (dim - 1 - a)
+            for k, step, edge, across in ((2 * a, st, n - 1, 0),
+                                          (2 * a + 1, -st, 0, n - 1)):
+                # the block's rows r with r + step inside the grid
+                r0, r1 = max(lo, -step), min(hi, size - step)
+                if a > 0:
+                    lead = (slice(None),) * (a - 1)
+                    faces = [((slice(None),) + lead + (edge, Ellipsis),
+                              (slice(i0, i1),) + lead + (across, Ellipsis))]
+                elif i0 <= edge < i1:
+                    faces = [((edge - i0, Ellipsis), (across, Ellipsis))]
+                else:
+                    faces = []
+                wraps = tuple((grid_off[k][i0:i1][dst], grid_term[dst], src)
+                              for dst, src in faces)
+                terms.append((off[k, r0:r1], term[r0 - lo:r1 - lo],
+                              slice(r0 + step, r1 + step), wraps))
+        plan.append((slice(lo, hi), diag[lo:hi], term, terms))
     return plan
 
 

@@ -100,6 +100,18 @@ class TestPreconditions:
             principal_eigenpair(op, tol=tol)
         assert op.applies == 0
 
+    @pytest.mark.parametrize("tol", ["1e-8", True, None], ids=["string", "bool", "none"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        # True would otherwise be taken as 1.0, and certify
+        op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
+        with pytest.raises(ValueError, match="tol"):
+            principal_eigenpair(op, tol=tol)
+        assert op.applies == 0
+
+    def test_numpy_float_tolerance_accepted(self):
+        op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
+        assert principal_eigenpair(op, tol=np.float64(1e-8)).certified
+
     @pytest.mark.parametrize("max_iter", [2.5, True, "50"])
     def test_budget_must_be_an_integer(self, max_iter):
         op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))

@@ -8,7 +8,7 @@ from conftest import SINK_3D, bare_scenario, to_dense
 from driftlab import expr, operator
 from driftlab.errors import CoefficientOverflowError, GridTooLargeError
 from driftlab.expr import TrigExpr, parse_expr
-from driftlab.operator import Grid, assemble
+from driftlab.operator import Grid, SparseOperator, assemble
 from driftlab.scenario import (
     BUILTIN_NAMES,
     builtin_scenario,
@@ -162,6 +162,15 @@ def gather_apply(op, x):
     return out
 
 
+def assert_apply_matches_gather(op):
+    x = np.random.default_rng(4).standard_normal(op.grid.size)
+    want = gather_apply(op, x)
+    np.testing.assert_array_equal(bits(op.apply(x)), bits(want))
+    out = np.empty_like(x)
+    assert op.apply(x, out=out) is out
+    np.testing.assert_array_equal(bits(out), bits(want))
+
+
 def reference_assemble(s, g, eps):
     """Reference assembly: the stencil formulas with a new array per step,
     from the same field samples as assemble."""
@@ -281,14 +290,53 @@ class TestAssembleStencil:
         (scenario_from_dict(SINK_3D), 9),
     ], ids=["1d", "2d", "3d", "1d-odd", "2d-odd", "3d-odd"])
     def test_apply_matches_gather_reference_bitwise(self, s, n):
-        rng = np.random.default_rng(4)
+        assert_apply_matches_gather(assemble(s, Grid(s.dim, n), 0.15))
+
+    @pytest.mark.parametrize("s, n, block_rows, blocks", [
+        (builtin_scenario("stable-point"), 32, 5, 7),
+        (builtin_scenario("stable-point"), 33, 11, 3),
+        (builtin_scenario("mixed"), 16, 48, 6),
+        (builtin_scenario("mixed"), 9, 20, 5),
+        (scenario_from_dict(SINK_3D), 8, 128, 4),
+        (scenario_from_dict(SINK_3D), 9, 200, 5),
+        (scenario_from_dict(SINK_3D), 9, 50, 9),
+    ], ids=["1d-partial", "1d-odd", "2d-partial", "2d-odd", "3d", "3d-odd",
+            "3d-slab-past-block"])
+    def test_apply_in_blocks_matches_gather_reference_bitwise(self, monkeypatch, s, n,
+                                                              block_rows, blocks):
+        # whole axis-0 slabs per block, the last block partial where they do
+        # not divide n, and one slab per block where a slab exceeds BLOCK_ROWS
+        monkeypatch.setattr(operator, "BLOCK_ROWS", block_rows)
         op = assemble(s, Grid(s.dim, n), 0.15)
-        x = rng.standard_normal(op.grid.size)
-        want = gather_apply(op, x)
-        np.testing.assert_array_equal(bits(op.apply(x)), bits(want))
+        assert len(op._plan) == blocks
+        assert_apply_matches_gather(op)
+
+    def test_apply_in_blocks_matches_one_block_bitwise(self, monkeypatch):
+        op = assemble(builtin_scenario("mixed"), Grid(2, 1024), 0.1)
+        assert len(op._plan) == 32
+        x = np.random.default_rng(6).standard_normal(op.grid.size)
+        want = op.apply(x)
+        for block_rows, blocks in ((2**20, 1), (3000, 512)):
+            monkeypatch.setattr(operator, "BLOCK_ROWS", block_rows)
+            split = SparseOperator(op.grid, op.diag, op.off)
+            assert len(split._plan) == blocks
+            np.testing.assert_array_equal(bits(split.apply(x)), bits(want))
+
+    def test_apply_allocates_no_grid_row(self):
+        # 262,144 rows in 8 blocks: apply into out needs only views, and the
+        # operator's scratch holds one block, not one row of the grid
+        op = assemble(builtin_scenario("mixed"), Grid(2, 512), 0.1)
+        x = np.random.default_rng(7).standard_normal(op.grid.size)
         out = np.empty_like(x)
-        assert op.apply(x, out=out) is out
-        np.testing.assert_array_equal(bits(out), bits(want))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            op.apply(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < operator.BLOCK_ROWS * 8 + 64 * 1024
+        assert len(op._plan) == 8
 
     def test_apply_rejects_out_overlapping_x(self):
         op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
@@ -301,6 +349,23 @@ class TestAssembleStencil:
             op.apply(buf[:size], out=buf[size // 2:size // 2 + size])
         np.testing.assert_array_equal(op.apply(buf[:size], out=buf[size:]),
                                       op.apply(x))
+
+    def test_apply_rejects_out_overlapping_operator(self):
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        diag, off = op.diag.copy(), op.off.copy()
+        x = np.random.default_rng(5).standard_normal(op.grid.size)
+        for out in (op.off[0], op.off[3], op.diag):
+            with pytest.raises(ValueError, match="overlap"):
+                op.apply(x, out=out)
+        np.testing.assert_array_equal(op.diag, diag)
+        np.testing.assert_array_equal(op.off, off)
+
+    @pytest.mark.parametrize("out", [np.empty(257), np.empty(255), np.empty((1, 256)),
+                                     [0.0] * 256], ids=["long", "short", "2d", "list"])
+    def test_apply_rejects_out_of_wrong_shape(self, out):
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        with pytest.raises(ValueError, match="out"):
+            op.apply(np.ones(op.grid.size), out=out)
 
     def test_apply_length_check(self):
         s = builtin_scenario("stable-point")
