@@ -25,8 +25,8 @@ _NVARS = 3  # x1, x2, x3
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
 
-# on_grid forms the last axis's e^{i m x} table for at most this many points
-# at a time; only a 1D grid has more points on an axis
+# a sampler forms the last axis's e^{i m x} table for at most this many
+# points at a time; only a 1D grid has more points on an axis
 TABLE_COLUMNS = 4096
 
 __all__ = [
@@ -155,43 +155,27 @@ class TrigExpr:
         """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
         axis (the points of Grid(dim, n)), flattened row-major.
 
-        Computed from the exact harmonics, grouped by the last axis's
-        frequency m_L. By the Hermitian symmetry, f = Re sum over m_L >= 0
-        of g(x') e^{i m_L x_L}, with g the coefficients a_m (doubled where
-        m_L > 0) summed over the other axes against their e^{i m x} tables.
-        That sum is a small complex contraction per leading axis; the last
-        axis is one real matrix product of [Re g, -Im g] with the
-        [cos(m_L x); sin(m_L x)] table, written into out. The table covers
-        at most TABLE_COLUMNS points at a time, so a 1D grid longer than
-        that takes one product per block and no array of grid length but
-        out. The values agree with __call__ to a few rounding errors of
+        This is slab_sampler(n, dim) filling every axis-0 slab at once, so
+        on_grid and a fill of the slabs in any blocks give the same bytes.
+        The values agree with __call__ to a few rounding errors of
         sum |a_m|.
 
         out, if given, is a C-contiguous float64 array of n**dim elements;
         it is filled and returned.
         """
-        spec = _spectrum(self, dim)
+        sampler = self.slab_sampler(n, dim)
         size = n**dim
         if out is None:
             out = np.empty(size)
         elif out.dtype != np.float64 or out.size != size or not out.flags.c_contiguous:
             raise ValueError("out must be a C-contiguous float64 array of %d elements"
                              % size)
-        *leading, last = spec.freqs
-        g = spec.coef
-        for freqs in leading:
-            # the leading frequency axis of g becomes a trailing grid axis
-            angle = np.multiply.outer(grid_angles(n), freqs)
-            g = np.tensordot(g, np.cos(angle) + 1j * np.sin(angle), axes=(0, 1))
-        g = g.reshape(last.size, size // n)
-        weights = np.concatenate([g.real, -g.imag]).T
-        rows = out.reshape(-1, n)
-        for lo in range(0, n, TABLE_COLUMNS):
-            hi = min(lo + TABLE_COLUMNS, n)
-            angle = np.multiply.outer(last, grid_angles(n, lo, hi))
-            table = np.concatenate([np.cos(angle), np.sin(angle)])
-            np.matmul(weights, table, out=rows[:, lo:hi])
-        return out
+        return sampler.fill(out, 0, n)
+
+    def slab_sampler(self, n, dim):
+        """The samples of on_grid, prepared once and then filled any range
+        of axis-0 slabs at a time (a _SlabSampler)."""
+        return _SlabSampler(_spectrum(self, dim), n, dim)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -268,8 +252,8 @@ class TrigExpr:
         """Exact coefficients a_m of  f(x) = sum_m a_m e^{i m.x},  |m| keys
         are integer tuples of length dim. Hermitian: a_{-m} = conj(a_m).
 
-        on_grid and abs_sum read them through a cache of their array form,
-        built once per expression and dim."""
+        The samplers and abs_sum read them through a cache of their array
+        form, built once per expression and dim."""
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         zero = (0,) * dim
@@ -336,11 +320,91 @@ class TrigExpr:
 
 
 class _Spectrum(NamedTuple):
-    """The harmonics in the array form on_grid contracts; read-only."""
+    """The harmonics in the array form a sampler contracts; read-only."""
 
     freqs: tuple  # per axis, the frequencies present; m >= 0 on the last
     coef: np.ndarray  # complex, a_m at the frequencies, doubled where m_L > 0
     abs_sum: float  # sum |a_m| over all harmonics
+
+
+class _SlabSampler:
+    """One field's samples on the (n,)*dim grid, row-major, filled a range
+    of axis-0 slabs at a time.
+
+    They are computed from the exact harmonics, grouped by the last axis's
+    frequency m_L. By the Hermitian symmetry, f = Re sum over m_L >= 0 of
+    g(x') e^{i m_L x_L}, with g the coefficients a_m (doubled where m_L > 0)
+    summed over the other axes against their e^{i m x} tables. The sampler
+    is built once per field: that sum is a small complex contraction per
+    leading axis, kept as the real weights [Re g, -Im g], one row per point
+    of the leading axes. Each fill is then one real matrix product per
+    table of the weights of its slabs with the [cos(m_L x); sin(m_L x)]
+    table of the last axis, written into out. A table covers at most
+    TABLE_COLUMNS points. On a grid of two or more axes the tables of the
+    whole last axis are made with the sampler; in 1D a slab is one point,
+    so each fill makes the tables of its own columns, and no array of grid
+    length is made but out.
+    """
+
+    __slots__ = ("_n", "_dim", "_last", "_weights", "_tables")
+
+    def __init__(self, spec, n, dim):
+        *leading, last = spec.freqs
+        g = spec.coef
+        for freqs in leading:
+            # the leading frequency axis of g becomes a trailing grid axis:
+            # the one product that np.tensordot(g, e, axes=(0, 1)) takes,
+            # without its Python overhead
+            angle = np.multiply.outer(grid_angles(n), freqs)
+            e = np.cos(angle) + 1j * np.sin(angle)
+            rest = g.shape[1:]
+            g = g.transpose(*range(1, g.ndim), 0).reshape(math.prod(rest), freqs.size)
+            g = np.dot(g, e.T).reshape(rest + (n,))
+        g = g.reshape(last.size, n ** (dim - 1))
+        self._n, self._dim, self._last = n, dim, last
+        self._weights = np.concatenate([g.real, -g.imag]).T
+        self._tables = None if dim == 1 else list(_tables(last, n, 0, n))
+
+    def fill(self, out, i0, i1):
+        """Write the samples of the axis-0 slabs i0 <= i < i1 into out, a
+        C-contiguous float64 array of (i1 - i0)*n**(dim-1) elements, and
+        return it."""
+        n = self._n
+        if self._dim == 1:
+            # one row of weights; the slabs are the columns i0..i1 of out
+            for lo, hi, table in _tables(self._last, n, i0, i1):
+                np.matmul(self._weights, table, out=out[None, lo - i0:hi - i0])
+            return out
+        per_slab = n ** (self._dim - 2)
+        w0, w1 = i0 * per_slab, i1 * per_slab
+        rows = out.reshape(-1, n)
+        # numpy takes a product with one row or one column to gemv, which
+        # rounds otherwise than the matrix product, and otherwise for
+        # another number of rows; on_grid's bytes come from the products
+        # over all rows, so a one-column table is taken over all rows, and
+        # a block of one row of weights with a second row
+        for lo, hi, table in self._tables:
+            if hi - lo == 1:
+                rows[:, lo] = (self._weights @ table)[w0:w1, 0]
+            elif w1 - w0 == 1:
+                p0 = min(w0, len(self._weights) - 2)
+                rows[:, lo:hi] = (self._weights[p0:p0 + 2] @ table)[w0 - p0]
+            else:
+                np.matmul(self._weights[w0:w1], table, out=rows[:, lo:hi])
+        return out
+
+
+def _tables(last, n, lo, hi):
+    """Yield (start, stop, [cos(m x); sin(m x)]) over the last axis's
+    frequencies m and its points start <= j < stop, for lo <= j < hi in
+    pieces of TABLE_COLUMNS points, one piece made at a time."""
+    for start in range(lo, hi, TABLE_COLUMNS):
+        stop = min(start + TABLE_COLUMNS, hi)
+        angle = np.multiply.outer(last, grid_angles(n, start, stop))
+        table = np.empty((2 * last.size, stop - start))
+        np.cos(angle, out=table[:last.size])
+        np.sin(angle, out=table[last.size:])
+        yield start, stop, table
 
 
 @functools.lru_cache(maxsize=256)

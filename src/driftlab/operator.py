@@ -4,16 +4,19 @@ The operator is stored in stencil form: a diagonal and, for each of the 2*dim
 periodic neighbours x + h*e_a and x - h*e_a, one coefficient per row. Rows are
 numbered row-major on the (n,)*dim grid, so a neighbour along axis a sits
 n**(dim-1-a) rows away in flat memory except where it wraps around the torus;
-no row index map is stored. The mat-vec walks the grid in blocks of whole
-axis-0 slabs of at most BLOCK_ROWS rows, so that each block's rows stay in
-cache while every neighbour term is added to them. In each block it
-multiplies each neighbour's coefficients by x read at that flat shift, fixes
-the wrapped rows through a grid view, and sums the neighbour terms in a
-fixed order, so its result is deterministic and does not depend on the
-blocks. Assembly samples each field straight into the output arrays with
-TrigExpr.on_grid, c into the diagonal and b_a into the x - h*e_a
-coefficients, and builds the stencil there in place, after a check that
-bounds every coefficient from the fields' harmonics. Upwind advection keeps
+no row index map is stored.
+
+Assembly and the mat-vec walk the grid in the same blocks of whole axis-0
+slabs, at most BLOCK_ROWS rows each (_slab_blocks), so that a block's rows
+stay in cache while all the work on them is done. Assembly first checks a
+bound on every coefficient from the fields' harmonics. Then, per block, it
+samples c into the diagonal and each b_a into the x - h*e_a coefficients
+(TrigExpr.slab_sampler), builds the upwind stencil there in place, and
+takes the block's least off-diagonal entry, which the operator keeps as
+min_offdiag. The mat-vec, in each block, multiplies each neighbour's
+coefficients by x read at that flat shift, fixes the wrapped rows through a
+grid view, and sums the neighbour terms in a fixed order, so its result is
+deterministic and does not depend on the blocks. Upwind advection keeps
 every off-diagonal entry nonnegative for any eps and h, which is what gives
 the discrete operator a real simple leading eigenvalue with a positive
 eigenvector.
@@ -37,9 +40,9 @@ MAX_GRID_SIZE = 2**24
 # assemble requires its a-priori coefficient bound times this to be finite
 OVERFLOW_MARGIN = 1.0 + 2.0**-20
 
-# apply walks the grid in blocks of whole axis-0 slabs of at most this many
-# rows (one slab when a slab is longer): 256 KB per float row, so a block of
-# out, x, the scratch and one coefficient row stays in a 2 MB L2 cache
+# assemble and apply walk the grid in blocks of whole axis-0 slabs of at most
+# this many rows (one slab when a slab is longer): 256 KB per float row, so a
+# block of the rows either one works on stays in a 2 MB L2 cache
 BLOCK_ROWS = 2**15
 
 __all__ = ["Grid", "SparseOperator", "assemble"]
@@ -86,9 +89,15 @@ class SparseOperator:
 
     Row r is diag[r]*x[r] + sum_k off[k, r]*x[r_k], where r_k is the row of
     the x + h*e_a neighbour for k = 2a and of the x - h*e_a neighbour for
-    k = 2a + 1, rows numbered row-major on the (n,)*dim grid. apply walks
-    the grid in blocks of whole axis-0 slabs, at most BLOCK_ROWS rows each
-    unless one slab is longer. In each block it writes diag*x to out, then
+    k = 2a + 1, rows numbered row-major on the (n,)*dim grid.
+
+    min_offdiag, the least entry of off, is what is_metzler and
+    is_irreducible read. assemble finds it block by block as it builds off
+    and passes it in; an operator built from arrays takes it from off.
+
+    apply walks the grid in the blocks of _slab_blocks, the blocks assemble
+    builds it in: whole axis-0 slabs, at most BLOCK_ROWS rows each unless
+    one slab is longer. In each block it writes diag*x to out, then
     forms each neighbour term in a block-sized scratch: a multiply over the
     block's rows at flat stride n**(dim-1-a), which reads x across the block
     edge along axis 0, then one over the block's rows that wrap around axis
@@ -101,11 +110,11 @@ class SparseOperator:
     diag and off are not replaced.
     """
 
-    def __init__(self, grid, diag, off):
+    def __init__(self, grid, diag, off, *, _min_offdiag=None):
         self.grid = grid
         self.diag = diag  # (N,)
         self.off = off  # (2*dim, N) neighbour coefficients
-        self.min_offdiag = float(off.min())
+        self.min_offdiag = float(off.min()) if _min_offdiag is None else _min_offdiag
         self._plan = _block_plan(grid, diag, off)
 
     @property
@@ -120,13 +129,17 @@ class SparseOperator:
 
     def apply(self, x, out=None):
         size = self.grid.size
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype.kind == "c":
+            raise ValueError("x must be real, got dtype %s" % x.dtype)
+        x = x.astype(float, copy=False)
         if x.shape != (size,):
             raise ValueError("vector length %d, expected %d" % (x.size, size))
         if out is None:
             out = _line_aligned_empty(size)
-        elif not isinstance(out, np.ndarray) or out.shape != (size,):
-            raise ValueError("out must be an array of shape (%d,)" % size)
+        elif (not isinstance(out, np.ndarray) or out.shape != (size,)
+              or out.dtype != np.float64):
+            raise ValueError("out must be a float64 array of shape (%d,)" % size)
         elif np.may_share_memory(out, x):
             raise ValueError("out must not overlap x")
         elif np.may_share_memory(out, self.diag) or np.may_share_memory(out, self.off):
@@ -153,6 +166,15 @@ def _line_aligned_empty(size):
     return buf[lead:lead + size]
 
 
+def _slab_blocks(grid):
+    """The blocks that assemble and apply walk the grid in: (i0, i1) for the
+    axis-0 slabs i0 <= i < i1, at most BLOCK_ROWS rows per block unless one
+    slab is longer, every block but the last of the same length."""
+    n = grid.n
+    per_block = max(1, BLOCK_ROWS // (grid.size // n))
+    return [(i0, min(i0 + per_block, n)) for i0 in range(0, n, per_block)]
+
+
 def _block_plan(grid, diag, off):
     """Per block of whole axis-0 slabs, the operands (rows, diag[rows], term,
     terms) of apply: term is the block's length of one scratch row that all
@@ -171,12 +193,12 @@ def _block_plan(grid, diag, off):
     block meets the wrapping face only if it holds the first or last slab."""
     n, dim, size = grid.n, grid.dim, grid.size
     slab = size // n
-    per_block = max(1, BLOCK_ROWS // slab)
-    scratch = _line_aligned_empty(min(per_block, n) * slab)
+    blocks = _slab_blocks(grid)
+    # the first block is the longest
+    scratch = _line_aligned_empty(blocks[0][1] * slab)
     grid_off = off.reshape((2 * dim,) + (n,) * dim)
     plan = []
-    for i0 in range(0, n, per_block):
-        i1 = min(i0 + per_block, n)
+    for i0, i1 in blocks:
         lo, hi = i0 * slab, i1 * slab
         term = scratch[:hi - lo]
         grid_term = term.reshape((i1 - i0,) + (n,) * (dim - 1))
@@ -223,19 +245,29 @@ def assemble(scenario, grid, eps):
     if not math.isfinite(bound * OVERFLOW_MARGIN):
         raise CoefficientOverflowError(
             "c and b/h reach %r, past the float range" % bound)
-    # every array below is built in place in diag or off
-    diag = scenario.c.on_grid(n, dim)
-    diag += -2.0 * dim * lap
+    # each field's sampler holds its contraction over the leading axes; the
+    # samples themselves go straight into diag and off, one block at a time
+    c = scenario.c.slab_sampler(n, dim)
+    drifts = [b.slab_sampler(n, dim) for b in scenario.b]
+    slab = grid.size // n
+    diag = np.empty(grid.size)
     off = np.empty((2 * dim, grid.size))
-    for a, b in enumerate(scenario.b):
-        ba = b.on_grid(n, dim, out=off[2 * a + 1])
-        bp = np.maximum(ba, 0.0, out=off[2 * a])
-        bm = np.maximum(np.negative(ba, out=ba), 0.0, out=ba)
-        bp /= h
-        bm /= h
-        # one of bp, bm is 0 in each row, so this is exactly diag - (bp + bm)/h
-        diag -= bp
-        diag -= bm
-        bp += lap
-        bm += lap
-    return SparseOperator(grid, diag, off)
+    least = math.inf
+    for i0, i1 in _slab_blocks(grid):
+        rows = slice(i0 * slab, i1 * slab)
+        block = c.fill(diag[rows], i0, i1)
+        block += -2.0 * dim * lap
+        for a, b in enumerate(drifts):
+            # with t = b/h, max(t, 0) is max(b, 0)/h and max(-t, 0) is
+            # max(-b, 0)/h exactly; one of the two is 0 in each row
+            up = off[2 * a, rows]
+            t = b.fill(off[2 * a + 1, rows], i0, i1)
+            t /= h
+            np.maximum(t, 0.0, out=up)
+            block -= up
+            up += lap
+            np.maximum(np.negative(t, out=t), 0.0, out=t)
+            block -= t
+            t += lap
+        least = min(least, off[:, rows].min())
+    return SparseOperator(grid, diag, off, _min_offdiag=float(least))

@@ -84,9 +84,9 @@ class TestOpenMesh:
         n = 256
         sizes = []
         for name in ("sin", "cos"):
-            def counting(x, _ufunc=getattr(np, name)):
+            def counting(x, _ufunc=getattr(np, name), **kwargs):
                 sizes.append(np.size(x))
-                return _ufunc(x)
+                return _ufunc(x, **kwargs)
 
             monkeypatch.setattr(np, name, counting)
         assemble(builtin_scenario("mixed"), Grid(2, n), 0.1)
@@ -141,6 +141,29 @@ class TestOnGrid:
     def test_bad_out_rejected(self, out):
         with pytest.raises(ValueError, match="out"):
             parse_expr("cos(x1)").on_grid(8, 2, out=out)
+
+    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9), (2, 16), (3, 9)])
+    def test_equals_slab_fills_over_any_blocks(self, monkeypatch, dim, n):
+        # the fills of any partition of the axis-0 slabs into blocks, one
+        # slab blocks included, write on_grid's bytes; in 1D with tables
+        # narrower than some blocks, and starting inside a table
+        monkeypatch.setattr(expr, "TABLE_COLUMNS", 4)
+        rng = np.random.default_rng(dim * 100 + n)
+        fields = [f for s in FIELD_CASES for f in all_fields(s)] + EXTRA_FIELDS
+        slab = n ** (dim - 1)
+        for f in fields:
+            if f.nvars > dim:
+                continue
+            want = np.full(n**dim, np.nan)
+            assert f.on_grid(n, dim, out=want) is want
+            sampler = f.slab_sampler(n, dim)
+            for cuts in ([1], list(range(1, n)),
+                         sorted(rng.choice(np.arange(1, n), 3, replace=False))):
+                got = np.full(n**dim, np.nan)
+                for i0, i1 in zip([0, *cuts], [*cuts, n]):
+                    block = got[i0 * slab:i1 * slab]
+                    assert sampler.fill(block, i0, i1) is block
+                np.testing.assert_array_equal(bits(got), bits(want), str(f))
 
     def test_abs_sum(self):
         assert parse_expr("3*cos(x1) - 2*sin(x1 + x2) + 0.5").abs_sum(2) == 5.5
@@ -199,6 +222,45 @@ class TestAssembleStencil:
             np.testing.assert_array_equal(bits(op.diag), bits(diag))
             np.testing.assert_array_equal(bits(op.off), bits(off))
 
+    @pytest.mark.parametrize("s, n, block_rows, blocks", [
+        (builtin_scenario("mixed"), 16, 48, 6),
+        (builtin_scenario("mixed"), 9, 20, 5),
+        (builtin_scenario("irrational-torus"), 33, 100, 11),
+        (builtin_scenario("stable-point"), 12289, 5000, 3),
+        (scenario_from_dict(SINK_3D), 9, 200, 5),
+        (scenario_from_dict(SINK_3D), 9, 50, 9),
+    ], ids=["2d-partial", "2d-odd", "2d-odd-partial", "1d-past-table-columns",
+            "3d-odd", "3d-slab-past-block"])
+    def test_in_blocks_matches_reference_bitwise(self, monkeypatch, s, n, block_rows,
+                                                 blocks):
+        # assembly walks apply's blocks: a partial last block (of one slab
+        # in 2d-partial), odd n, a 1D grid of blocks that span more than
+        # one table of TABLE_COLUMNS points and start inside one, and one 3D
+        # slab per block where a slab exceeds BLOCK_ROWS
+        monkeypatch.setattr(operator, "BLOCK_ROWS", block_rows)
+        g = Grid(s.dim, n)
+        assert len(operator._slab_blocks(g)) == blocks
+        for eps in (0.2, 0.05):
+            op = assemble(s, g, eps)
+            diag, off = reference_assemble(s, g, eps)
+            np.testing.assert_array_equal(bits(op.diag), bits(diag))
+            np.testing.assert_array_equal(bits(op.off), bits(off))
+            assert op.min_offdiag == float(op.off.min())
+            assert len(op._plan) == blocks
+
+    def test_operator_from_arrays_finds_min_offdiag(self):
+        # an operator built from arrays reads min_offdiag from off, so a
+        # negative coupling anywhere is reported
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        off = op.off.copy()
+        off[3, 100] = -1e-300
+        built = SparseOperator(op.grid, op.diag, off)
+        assert built.min_offdiag == -1e-300
+        assert not built.is_metzler and not built.is_irreducible
+        again = SparseOperator(op.grid, op.diag, op.off)
+        assert again.min_offdiag == op.min_offdiag
+        assert again.is_metzler
+
     @pytest.mark.parametrize("s, n", [
         (builtin_scenario("stable-point"), 2**18),
         (builtin_scenario("mixed"), 512),
@@ -206,7 +268,8 @@ class TestAssembleStencil:
     ], ids=["1d", "2d", "3d"])
     def test_peak_memory(self, s, n):
         # the operator itself is 2*dim + 1 rows; the fields are sampled
-        # straight into it, so assembly adds less than one more
+        # straight into it a block at a time, so assembly adds a few block
+        # rows, not one row of the grid (here 8 blocks)
         g = Grid(s.dim, n)
         tracemalloc.start()
         try:
@@ -216,7 +279,8 @@ class TestAssembleStencil:
         finally:
             tracemalloc.stop()
         assert op.off.shape == (2 * s.dim, g.size)
-        assert peak < (2 * s.dim + 2) * g.size * 8
+        assert g.size == 8 * operator.BLOCK_ROWS
+        assert peak < (2 * s.dim + 1) * g.size * 8 + 4 * operator.BLOCK_ROWS * 8
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_pure_laplacian(self, dim):
@@ -367,6 +431,21 @@ class TestAssembleStencil:
         with pytest.raises(ValueError, match="out"):
             op.apply(np.ones(op.grid.size), out=out)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_apply_rejects_out_of_other_dtype(self, dtype):
+        # a float32 out would round the result, an int64 one cannot hold it
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        out = np.zeros(op.grid.size, dtype=dtype)
+        with pytest.raises(ValueError, match="out must be a float64"):
+            op.apply(np.ones(op.grid.size), out=out)
+        assert not out.any()
+
+    def test_apply_rejects_complex_x(self):
+        # the imaginary part would be dropped
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        with pytest.raises(ValueError, match="real"):
+            op.apply(np.ones(op.grid.size) + 1e-3j)
+
     def test_apply_length_check(self):
         s = builtin_scenario("stable-point")
         op = assemble(s, Grid(1, 16), 0.1)
@@ -414,7 +493,8 @@ class TestCoefficientOverflow:
         # |b|/h reaches 1e308*64/(2*pi) and c reaches 2e308: neither is a float
         s = bare_scenario(1, b, c)
         passes = []
-        monkeypatch.setattr(TrigExpr, "on_grid", lambda *args, **kw: passes.append(args))
+        for name in ("on_grid", "slab_sampler"):
+            monkeypatch.setattr(TrigExpr, name, lambda *args, **kw: passes.append(args))
         with pytest.raises(CoefficientOverflowError):
             assemble(s, Grid(1, 64), 0.1)
         assert passes == []
