@@ -25,8 +25,8 @@ _NVARS = 3  # x1, x2, x3
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
 
-# a sampler forms the last axis's e^{i m x} table for at most this many
-# points at a time; only a 1D grid has more points on an axis
+# a 1D sampler forms the e^{i m x} table for at most this many points at a
+# time; a grid of two or more axes has its whole last axis in one table
 TABLE_COLUMNS = 4096
 
 __all__ = [
@@ -95,10 +95,6 @@ class TrigExpr:
     def constant(value):
         return TrigExpr([(float(value), ())])
 
-    @staticmethod
-    def zero():
-        return TrigExpr()
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -151,7 +147,7 @@ class TrigExpr:
             return float(acc)
         return acc
 
-    def on_grid(self, n, dim, out=None):
+    def on_grid(self, n, dim):
         """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
         axis (the points of Grid(dim, n)), flattened row-major.
 
@@ -159,18 +155,8 @@ class TrigExpr:
         on_grid and a fill of the slabs in any blocks give the same bytes.
         The values agree with __call__ to a few rounding errors of
         sum |a_m|.
-
-        out, if given, is a C-contiguous float64 array of n**dim elements;
-        it is filled and returned.
         """
-        sampler = self.slab_sampler(n, dim)
-        size = n**dim
-        if out is None:
-            out = np.empty(size)
-        elif out.dtype != np.float64 or out.size != size or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous float64 array of %d elements"
-                             % size)
-        return sampler.fill(out, 0, n)
+        return self.slab_sampler(n, dim).fill(np.empty(n**dim), 0, n)
 
     def slab_sampler(self, n, dim):
         """The samples of on_grid, prepared once and then filled any range
@@ -337,16 +323,16 @@ class _SlabSampler:
     summed over the other axes against their e^{i m x} tables. The sampler
     is built once per field: that sum is a small complex contraction per
     leading axis, kept as the real weights [Re g, -Im g], one row per point
-    of the leading axes. Each fill is then one real matrix product per
-    table of the weights of its slabs with the [cos(m_L x); sin(m_L x)]
-    table of the last axis, written into out. A table covers at most
-    TABLE_COLUMNS points. On a grid of two or more axes the tables of the
-    whole last axis are made with the sampler; in 1D a slab is one point,
-    so each fill makes the tables of its own columns, and no array of grid
-    length is made but out.
+    of the leading axes. A fill is then the real matrix product of the
+    weights of its slabs with the [cos(m_L x); sin(m_L x)] table of the last
+    axis, written into out. On a grid of two or more axes the sampler makes
+    the table of the whole last axis once, and each fill takes one product.
+    In 1D a slab is one point, so each fill makes the tables of its own
+    columns, at most TABLE_COLUMNS points each, one product per table, and
+    no array of grid length is made but out.
     """
 
-    __slots__ = ("_n", "_dim", "_last", "_weights", "_tables")
+    __slots__ = ("_n", "_dim", "_last", "_weights", "_table")
 
     def __init__(self, spec, n, dim):
         *leading, last = spec.freqs
@@ -363,7 +349,7 @@ class _SlabSampler:
         g = g.reshape(last.size, n ** (dim - 1))
         self._n, self._dim, self._last = n, dim, last
         self._weights = np.concatenate([g.real, -g.imag]).T
-        self._tables = None if dim == 1 else list(_tables(last, n, 0, n))
+        self._table = None if dim == 1 else _table(last, n, 0, n)
 
     def fill(self, out, i0, i1):
         """Write the samples of the axis-0 slabs i0 <= i < i1 into out, a
@@ -372,39 +358,33 @@ class _SlabSampler:
         n = self._n
         if self._dim == 1:
             # one row of weights; the slabs are the columns i0..i1 of out
-            for lo, hi, table in _tables(self._last, n, i0, i1):
-                np.matmul(self._weights, table, out=out[None, lo - i0:hi - i0])
+            for lo in range(i0, i1, TABLE_COLUMNS):
+                hi = min(lo + TABLE_COLUMNS, i1)
+                np.matmul(self._weights, _table(self._last, n, lo, hi),
+                          out=out[None, lo - i0:hi - i0])
             return out
         per_slab = n ** (self._dim - 2)
         w0, w1 = i0 * per_slab, i1 * per_slab
         rows = out.reshape(-1, n)
-        # numpy takes a product with one row or one column to gemv, which
-        # rounds otherwise than the matrix product, and otherwise for
-        # another number of rows; on_grid's bytes come from the products
-        # over all rows, so a one-column table is taken over all rows, and
-        # a block of one row of weights with a second row
-        for lo, hi, table in self._tables:
-            if hi - lo == 1:
-                rows[:, lo] = (self._weights @ table)[w0:w1, 0]
-            elif w1 - w0 == 1:
-                p0 = min(w0, len(self._weights) - 2)
-                rows[:, lo:hi] = (self._weights[p0:p0 + 2] @ table)[w0 - p0]
-            else:
-                np.matmul(self._weights[w0:w1], table, out=rows[:, lo:hi])
+        if w1 - w0 == 1:
+            # numpy takes a product with one row to gemv, which rounds
+            # otherwise than the matrix product over all rows that gives
+            # on_grid's bytes, so one row of weights goes with a second
+            p0 = min(w0, len(self._weights) - 2)
+            rows[:] = (self._weights[p0:p0 + 2] @ self._table)[w0 - p0]
+        else:
+            np.matmul(self._weights[w0:w1], self._table, out=rows)
         return out
 
 
-def _tables(last, n, lo, hi):
-    """Yield (start, stop, [cos(m x); sin(m x)]) over the last axis's
-    frequencies m and its points start <= j < stop, for lo <= j < hi in
-    pieces of TABLE_COLUMNS points, one piece made at a time."""
-    for start in range(lo, hi, TABLE_COLUMNS):
-        stop = min(start + TABLE_COLUMNS, hi)
-        angle = np.multiply.outer(last, grid_angles(n, start, stop))
-        table = np.empty((2 * last.size, stop - start))
-        np.cos(angle, out=table[:last.size])
-        np.sin(angle, out=table[last.size:])
-        yield start, stop, table
+def _table(last, n, lo, hi):
+    """[cos(m x); sin(m x)] over the last axis's frequencies m and its
+    points lo <= j < hi."""
+    angle = np.multiply.outer(last, grid_angles(n, lo, hi))
+    table = np.empty((2 * last.size, hi - lo))
+    np.cos(angle, out=table[:last.size])
+    np.sin(angle, out=table[last.size:])
+    return table
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,19 +11,20 @@ slabs, at most BLOCK_ROWS rows each (_slab_blocks), so that a block's rows
 stay in cache while all the work on them is done. Assembly first checks a
 bound on every coefficient from the fields' harmonics. Then, per block, it
 samples c into the diagonal and each b_a into the x - h*e_a coefficients
-(TrigExpr.slab_sampler), builds the upwind stencil there in place, and
-takes the block's least off-diagonal entry, which the operator keeps as
-min_offdiag. The mat-vec, in each block, multiplies each neighbour's
-coefficients by x read at that flat shift, fixes the wrapped rows through a
-grid view, and sums the neighbour terms in a fixed order, so its result is
-deterministic and does not depend on the blocks. Upwind advection keeps
-every off-diagonal entry nonnegative for any eps and h, which is what gives
-the discrete operator a real simple leading eigenvalue with a positive
-eigenvector.
+(TrigExpr.slab_sampler) and builds the upwind stencil there in place. The
+mat-vec, in each block, multiplies each neighbour's coefficients by x read
+at that flat shift, fixes the wrapped rows through a grid view, and sums the
+neighbour terms in a fixed order, so its result is deterministic and does
+not depend on the blocks. Upwind advection keeps every off-diagonal entry
+nonnegative for any eps and h, which is what gives the discrete operator a
+real simple leading eigenvalue with a positive eigenvector. Every operator,
+assembled or built from arrays, checks that on its off array: min_offdiag
+is the least entry there, read when it is first used.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,8 +93,8 @@ class SparseOperator:
     k = 2a + 1, rows numbered row-major on the (n,)*dim grid.
 
     min_offdiag, the least entry of off, is what is_metzler and
-    is_irreducible read. assemble finds it block by block as it builds off
-    and passes it in; an operator built from arrays takes it from off.
+    is_irreducible read. It is read from off the first time it is used, for
+    an assembled operator as for one built from arrays, and then kept.
 
     apply walks the grid in the blocks of _slab_blocks, the blocks assemble
     builds it in: whole axis-0 slabs, at most BLOCK_ROWS rows each unless
@@ -110,12 +111,15 @@ class SparseOperator:
     diag and off are not replaced.
     """
 
-    def __init__(self, grid, diag, off, *, _min_offdiag=None):
+    def __init__(self, grid, diag, off):
         self.grid = grid
         self.diag = diag  # (N,)
         self.off = off  # (2*dim, N) neighbour coefficients
-        self.min_offdiag = float(off.min()) if _min_offdiag is None else _min_offdiag
         self._plan = _block_plan(grid, diag, off)
+
+    @functools.cached_property
+    def min_offdiag(self):
+        return float(self.off.min())
 
     @property
     def is_metzler(self):
@@ -252,7 +256,6 @@ def assemble(scenario, grid, eps):
     slab = grid.size // n
     diag = np.empty(grid.size)
     off = np.empty((2 * dim, grid.size))
-    least = math.inf
     for i0, i1 in _slab_blocks(grid):
         rows = slice(i0 * slab, i1 * slab)
         block = c.fill(diag[rows], i0, i1)
@@ -269,5 +272,4 @@ def assemble(scenario, grid, eps):
             np.maximum(np.negative(t, out=t), 0.0, out=t)
             block -= t
             t += lap
-        least = min(least, off[:, rows].min())
-    return SparseOperator(grid, diag, off, _min_offdiag=float(least))
+    return SparseOperator(grid, diag, off)

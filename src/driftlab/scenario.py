@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -472,9 +473,14 @@ def scenario_to_dict(scenario):
 
 
 def load_scenario(source):
-    """Builtin name, path to a JSON file, or a parsed dict."""
+    """Builtin name, path to a JSON file (str or os.PathLike), or a parsed
+    dict; anything else, an int that open() would take as a file
+    descriptor included, raises ScenarioFormatError."""
     if isinstance(source, dict):
         return scenario_from_dict(source)
+    if not isinstance(source, (str, os.PathLike)):
+        raise ScenarioFormatError(
+            "scenario source must be a dict, a builtin name or a path, got %r" % (source,))
     if source in BUILTIN_NAMES:
         return builtin_scenario(source)
     with open(source) as fh:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,11 +124,16 @@ class TestPreconditions:
         op = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
         assert principal_eigenpair(op, max_iter=np.int64(500)).certified
 
-    @pytest.mark.parametrize("fill", [0.0, math.nan], ids=["zero", "nan"])
-    def test_bad_start_vector_rejected(self, fill):
+    @pytest.mark.parametrize("x0, match", [
+        (np.zeros(16), "x0 must be finite and nonzero"),
+        (np.full(16, math.nan), "x0 must be finite and nonzero"),
+        (np.ones(15), "x0 has wrong length"),
+        (np.ones(17), "x0 has wrong length"),
+    ], ids=["zero", "nan", "short", "long"])
+    def test_bad_start_vector_rejected(self, x0, match):
         op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
-        with pytest.raises(ValueError, match="x0"):
-            principal_eigenpair(op, x0=np.full(16, fill))
+        with pytest.raises(ValueError, match=match):
+            principal_eigenpair(op, x0=x0)
         assert op.applies == 0
 
     @pytest.mark.parametrize("fill", [1e200, 1e-200])
@@ -336,6 +342,36 @@ class TestSweep:
         for schedule in ([0.2, bad, 0.05], [bad, 0.1, 0.05], [0.2, 0.1, bad]):
             with pytest.raises(ScheduleError, match="finite"):
                 eigen_sweep(s, 32, schedule)
+
+    @pytest.mark.parametrize("schedule, match", [
+        ("21", "sequence of numbers"),
+        (b"21", "sequence of numbers"),
+        ([True], "real number"),
+        ([0.2, np.False_], "real number"),
+        (["a"], "real number"),
+        (["0.1"], "real number"),
+        ([None], "real number"),
+        ([0.2, 0.1 + 0j], "real number"),
+    ], ids=["str", "bytes", "bool", "numpy-bool", "str-entry", "numeric-str-entry",
+            "none-entry", "complex-entry"])
+    def test_schedule_must_hold_real_numbers(self, schedule, match, monkeypatch):
+        # a str was read one character at a time ("21" ran eps 2.0, then
+        # 1.0) and a bool as 0 or 1; both now fail like a bad tol does
+        assembled = []
+        monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
+        with pytest.raises(ScheduleError, match=match):
+            eigen_sweep(builtin_scenario("stable-point"), 16, schedule)
+        assert assembled == []
+
+    def test_schedule_of_real_numbers_accepted(self, monkeypatch):
+        # each entry records the failed solve of the stub operator
+        monkeypatch.setattr(eigen, "assemble", lambda *args: None)
+        for schedule, want in ((np.array([0.2, 0.1]), [0.2, 0.1]),
+                               ([Fraction(1, 5), np.float64(0.1)], [0.2, 0.1]),
+                               ((np.int64(2), 1), [2.0, 1.0]),
+                               (iter([0.2, 0.1]), [0.2, 0.1])):
+            entries = eigen_sweep(builtin_scenario("stable-point"), 16, schedule)
+            assert [e.eps for e in entries] == want
 
     @pytest.mark.parametrize("budget", [{"tol": 0.0}, {"tol": math.inf}, {"max_iter": 1},
                                         {"max_iter": 2.5}],

@@ -277,3 +277,21 @@ class TestLineProfile:
             np.testing.assert_allclose(recon.imag, 0, atol=1e-12)
             np.testing.assert_allclose(recon.real, direct, atol=1e-11)
 
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: setattr(TrigExpr(), "terms", ()), AttributeError, "TrigExpr is immutable"),
+    (lambda: parse_expr("cos(x1)").derivative(3), ValueError, "axis out of range"),
+    (lambda: parse_expr("cos(x1)").derivative(-1), ValueError, "axis out of range"),
+    (lambda: parse_expr("cos(x1 + x3)").harmonics(2), ValueError,
+     "more variables than dim"),
+    (lambda: parse_expr(b"cos(x1)"), TypeError, "expression must be a string"),
+    (lambda: parse_expr("sin x1"), ExprSyntaxError, r"expected '\(' after sin"),
+    (lambda: parse_expr("2*cos"), ExprSyntaxError, r"expected '\(' after cos"),
+    (lambda: parse_expr("1 + * 2"), ExprSyntaxError, "expected a number or sin/cos"),
+    (lambda: parse_expr("x1"), ExprSyntaxError, "expected a number or sin/cos"),
+], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "harmonics-dim",
+        "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
+        "bare-variable"])
+def test_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

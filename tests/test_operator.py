@@ -45,6 +45,17 @@ class TestGrid:
         assert Grid(3, 16).size == 4096
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Grid(0, 8), "dim must be 1, 2 or 3"),
+    (lambda: Grid(4, 8), "dim must be 1, 2 or 3"),
+    (lambda: assemble(builtin_scenario("mixed"), Grid(1, 8), 0.1),
+     "grid dim 1 != scenario dim 2"),
+], ids=["grid-dim-0", "grid-dim-4", "assemble-dim-mismatch"])
+def test_dimension_errors(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def bits(a):
     """The float64 bit patterns of a, so that -0.0 and 0.0 differ."""
     return np.asarray(a, dtype=float).view(np.int64)
@@ -68,7 +79,7 @@ class TestOpenMesh:
     def test_fields_equal_flat_evaluation_bitwise(self, s):
         g = Grid(s.dim, 16)
         mesh, flat = g.open_mesh(), g.coord_arrays()
-        extra = [TrigExpr.zero()]
+        extra = [TrigExpr()]
         if s.dim >= 2:
             extra.append(parse_expr("sin(x1 - 2*x2) + 3"))
         if s.dim == 3:
@@ -95,7 +106,7 @@ class TestOpenMesh:
 
 EXTRA_FIELDS = [parse_expr("sin(x1 - 2*x2) + 3"),
                 parse_expr("0.5*cos(x1 + x2 - x3)*sin(3*x3 + 0.25) - 1"),
-                TrigExpr.zero(), TrigExpr.constant(-2.5)]
+                TrigExpr(), TrigExpr.constant(-2.5)]
 
 
 def assert_on_grid_matches_pointwise(f, dim, n):
@@ -120,27 +131,13 @@ class TestOnGrid:
 
     @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9)])
     def test_axis_in_blocks(self, monkeypatch, dim, n):
-        # a last axis longer than TABLE_COLUMNS is filled one block at a time
+        # in 1D a last axis longer than TABLE_COLUMNS is filled one table at
+        # a time; a 2D grid has its whole last axis in one table regardless
         monkeypatch.setattr(expr, "TABLE_COLUMNS", 4)
         for f in [parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"),
                   parse_expr("sin(x1 - 2*x2) + 3")]:
             if f.nvars <= dim:
                 assert_on_grid_matches_pointwise(f, dim, n)
-
-    def test_fills_out(self):
-        f = parse_expr("cos(x1)*sin(x2)")
-        out = np.full((2, 64), np.nan)
-        row = out[1]
-        assert f.on_grid(8, 2, out=row) is row
-        np.testing.assert_array_equal(row, f.on_grid(8, 2))
-        assert np.isnan(out[0]).all()
-
-    @pytest.mark.parametrize("out", [np.empty(63), np.empty((64, 2))[:, 0],
-                                     np.empty(64, dtype=np.float32)],
-                             ids=["size", "strided", "dtype"])
-    def test_bad_out_rejected(self, out):
-        with pytest.raises(ValueError, match="out"):
-            parse_expr("cos(x1)").on_grid(8, 2, out=out)
 
     @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9), (2, 16), (3, 9)])
     def test_equals_slab_fills_over_any_blocks(self, monkeypatch, dim, n):
@@ -154,8 +151,7 @@ class TestOnGrid:
         for f in fields:
             if f.nvars > dim:
                 continue
-            want = np.full(n**dim, np.nan)
-            assert f.on_grid(n, dim, out=want) is want
+            want = f.on_grid(n, dim)
             sampler = f.slab_sampler(n, dim)
             for cuts in ([1], list(range(1, n)),
                          sorted(rng.choice(np.arange(1, n), 3, replace=False))):
@@ -167,7 +163,7 @@ class TestOnGrid:
 
     def test_abs_sum(self):
         assert parse_expr("3*cos(x1) - 2*sin(x1 + x2) + 0.5").abs_sum(2) == 5.5
-        assert TrigExpr.zero().abs_sum(1) == 0.0
+        assert TrigExpr().abs_sum(1) == 0.0
 
 
 def gather_apply(op, x):

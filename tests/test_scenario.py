@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,24 @@ class TestJsonForm:
         s = load_scenario(str(p))
         assert s.name == "stable-cycle"
         assert s.dim == 2
+        assert scenario_to_dict(load_scenario(p)) == d  # an os.PathLike path
+
+    def test_load_rejects_file_descriptor(self, tmp_path):
+        # open() takes an int as a file descriptor, which loaded this file
+        p = tmp_path / "scn.json"
+        p.write_text(json.dumps(scenario_to_dict(builtin_scenario("stable-point"))))
+        fd = os.open(p, os.O_RDONLY)
+        try:
+            with pytest.raises(ScenarioFormatError, match="scenario source"):
+                load_scenario(fd)
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize("source", [987654, 2.5, ["stable-point"], None],
+                             ids=["int", "float", "list", "none"])
+    def test_load_rejects_other_sources(self, source):
+        with pytest.raises(ScenarioFormatError, match="scenario source"):
+            load_scenario(source)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ScenarioFormatError):
@@ -413,6 +432,27 @@ class TestComponentGeometry:
     def test_component_ids(self):
         s = builtin_scenario("mixed")
         assert s.component_ids() == ["0:cycle", "1:point"]
+
+
+CYCLE_2D = {"name": "x", "dim": 2, "b": ["0", "1"], "c": "0", "L": "0"}
+
+
+@pytest.mark.parametrize("data, match", [
+    ({"name": "x", "dim": 0, "b": [], "c": "0", "L": "0"}, "dim must be 1, 2 or 3"),
+    ({"name": "x", "dim": 4, "b": ["0"] * 4, "c": "0", "L": "0"}, "dim must be 1, 2 or 3"),
+    ({**CYCLE_2D, "components": [{"axis": 1, "level": 0.0, "period": 1.0}]},
+     "component 0 has no type"),
+    ({**CYCLE_2D, "components": [["cycle"]]}, "component 0 has no type"),
+    ({**CYCLE_2D, "components": [{"type": "cycle", "axis": 1, "level": 0.0,
+                                  "period": 0.0}]}, "cycle period must be positive"),
+    ({**CYCLE_2D, "components": [{"type": "cycle", "axis": 1, "level": 0.0,
+                                  "period": -1.0}]}, "cycle period must be positive"),
+    ([("name", "x")], "scenario must be a JSON object"),
+], ids=["dim-0", "dim-4", "component-without-type", "component-not-object",
+        "cycle-period-zero", "cycle-period-negative", "not-a-dict"])
+def test_format_errors(data, match):
+    with pytest.raises(ScenarioFormatError, match=match):
+        scenario_from_dict(data)
 
 
 def test_format_errors_are_driftlab_errors():
