@@ -237,10 +237,14 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     epsilon does not abort the rest of the sweep.
     """
     _check_budget(tol, max_iter)
-    if isinstance(eps_list, (str, bytes)):
+    if not isinstance(eps_list, (str, bytes)):
+        try:
+            eps_list = list(eps_list)
+        except TypeError:  # not iterable: a bare number, None, a 0-d array
+            pass
+    if not isinstance(eps_list, list):
         raise ScheduleError("eps schedule must be a sequence of numbers, got %r"
                             % (eps_list,))
-    eps_list = list(eps_list)
     for e in eps_list:
         if isinstance(e, bool) or not isinstance(e, numbers.Real):
             raise ScheduleError("eps must be a real number, got %r" % (e,))

@@ -1,4 +1,6 @@
-"""Shared exception types, grouped by how the CLI reports them."""
+"""Shared exception types. All derive from DriftlabError, and those for
+malformed input (expression text, scenario data, coefficients out of range)
+are ValueErrors as well."""
 
 __all__ = ["CoefficientOverflowError", "DriftlabError", "ExprSyntaxError",
            "GridTooLargeError", "NonMetzlerError", "NotIrreducibleError",

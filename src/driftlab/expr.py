@@ -1,9 +1,14 @@
-"""Exact trigonometric-polynomial expressions on flat tori.
+"""Trigonometric polynomials on flat tori, held as their Fourier coefficients.
 
-An expression is a finite sum of terms, each term a real coefficient times a
-product of factors sin(k.x + phi) or cos(k.x + phi) with integer frequency
-vectors k. Everything is 2*pi-periodic by construction, and the class is
-closed under +, -, * and partial differentiation, with exact coefficients.
+A TrigExpr is the map m -> a_m of  f(x) = sum_m a_m e^{i m.x},  over integer
+frequency vectors m = (m1, m2, m3) of the angles x1, x2, x3. The map is
+Hermitian, a_{-m} = conj(a_m) exactly, so f is real and 2*pi-periodic; it
+holds no zero entries, and no part of an entry is -0.0. Sums merge the maps,
+products convolve them, and d/dx_a multiplies each a_m by i*m_a, so the
+class is closed under +, -, * and partial differentiation, in float
+arithmetic on the coefficients. Pointwise values are sums over half of the
+spectrum (__call__); grid samples contract it one axis at a time
+(on_grid, slab_sampler).
 """
 from __future__ import annotations
 
@@ -17,10 +22,8 @@ import numpy as np
 
 from .errors import ExprSyntaxError
 
-SIN = 0
-COS = 1
-
 _NVARS = 3  # x1, x2, x3
+_ZERO = (0,) * _NVARS  # the zero mode; m > _ZERO iff m's first nonzero entry is positive
 
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
@@ -36,93 +39,68 @@ __all__ = [
 ]
 
 
-def _norm_factor(kind, freq, phase):
-    """Canonical factor: first nonzero frequency positive.
-
-    Returns (sign, factor) where factor is None for a zero-frequency factor
-    (the caller folds sin(phase)/cos(phase) into the coefficient).
-    """
-    first = 0
-    for k in freq:
-        if k != 0:
-            first = k
-            break
-    if first == 0:
-        return (math.sin(phase) if kind == SIN else math.cos(phase)), None
-    if first < 0:
-        freq = tuple(-k for k in freq)
-        phase = -phase
-        if kind == SIN:
-            return -1.0, (SIN, freq, phase)
-        return 1.0, (COS, freq, phase)
-    return 1.0, (kind, freq, phase)
-
-
-def _build_terms(raw):
-    """Normalize, sort and merge raw (coeff, factors) pairs."""
-    acc = {}
-    for coeff, factors in raw:
-        c = float(coeff)
-        kept = []
-        for kind, freq, phase in factors:
-            s, f = _norm_factor(kind, tuple(int(k) for k in freq), float(phase))
-            c *= s
-            if f is not None:
-                kept.append(f)
-        if c == 0.0:
-            continue
-        key = tuple(sorted(kept))
-        acc[key] = acc.get(key, 0.0) + c
-    return tuple(
-        (c, fs) for fs, c in sorted(acc.items()) if c != 0.0
-    )
-
-
 class TrigExpr:
-    """Immutable trigonometric polynomial in up to three angle variables."""
+    """Immutable real trigonometric polynomial in up to three angle
+    variables, held as its harmonics a_m: keys are integer 3-tuples m, in
+    sorted order, so the half m >= 0 is the second half of the items.
 
-    __slots__ = ("terms",)
+    TrigExpr(pairs) is the expression with a_m = a and a_{-m} = conj(a)
+    for each (m, a) of `pairs`, no two of which name the same +-m; a_0 is
+    taken real. TrigExpr() is zero.
+    """
 
-    def __init__(self, raw_terms=()):
-        object.__setattr__(self, "terms", _build_terms(raw_terms))
+    __slots__ = ("_coef",)
+
+    def __init__(self, pairs=()):
+        coef = {}
+        for m, a in pairs:
+            if m == _ZERO:
+                a = complex(a.real)
+            if a != 0:
+                # + 0j turns a -0.0 part into +0.0, so equal maps hash alike
+                coef[m] = a + 0j
+                coef[-m[0], -m[1], -m[2]] = a.conjugate() + 0j
+        object.__setattr__(self, "_coef", dict(sorted(coef.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigExpr is immutable")
 
-    # -- constructors ------------------------------------------------------
-
     @staticmethod
     def constant(value):
-        return TrigExpr([(float(value), ())])
+        return TrigExpr([(_ZERO, float(value))])
 
-    # -- structure ---------------------------------------------------------
+    def _half(self):
+        """The (m, a_m) items with m >= 0."""
+        items = list(self._coef.items())
+        return items[len(items) // 2:]
 
     @property
     def nvars(self):
         """Highest variable index actually used (1-based count)."""
         nv = 0
-        for _, factors in self.terms:
-            for _, freq, _ in factors:
-                for i in range(_NVARS - 1, nv - 1, -1):
-                    if freq[i] != 0:
-                        nv = i + 1
-                        break
+        for m in self._coef:
+            while nv < _NVARS and any(m[nv:]):
+                nv += 1
         return nv
+
+    def in_range(self):
+        """Whether a_0 and every 2*a_m are finite: then every amplitude that
+        str prints is a finite number, and the text parses back."""
+        return all(cmath.isfinite(a if m == _ZERO else 2 * a) for m, a in self._half())
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, *coords):
-        """Value at broadcast coordinates, term by term.
+        """Value at broadcast coordinates: the sum over the half spectrum
+        m >= 0 of Re(g_m e^{i m.x}) = Re g_m cos(m.x) - Im g_m sin(m.x), with
+        g_0 = a_0 and g_m = 2 a_m off the zero mode, added into one
+        accumulator in key order.
 
         This is the pointwise evaluator, for point sets such as the
-        components' samples and the validation mesh; on_grid fills a whole
-        tensor grid faster from the harmonics. Terms and angles start from
-        the scalar coefficient and phase, so a factor broadcasts only the
-        axes it uses: on an open mesh (Grid.open_mesh) a factor in x1 alone
-        runs sin/cos on n points, and only the products and the sum are
-        full-grid arrays. Each term is added in place into one accumulator,
-        in term order. The arithmetic per element is the same for any
-        broadcast shape.
+        components' samples; on_grid fills a whole tensor grid faster. The
+        angle m.x takes only the axes with m_a != 0, so on an open mesh
+        (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on n points.
+        The arithmetic per element is the same for any broadcast shape.
         """
         nv = self.nvars
         if len(coords) < nv:
@@ -134,15 +112,13 @@ class TrigExpr:
         arrs = [np.asarray(c, dtype=float) for c in coords]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
         acc = np.zeros(shape)
-        for coeff, factors in self.terms:
-            term = coeff
-            for kind, freq, phase in factors:
-                angle = phase
-                for i, k in enumerate(freq):
-                    if k != 0:
-                        angle = angle + k * arrs[i]
-                term = term * (np.sin(angle) if kind == SIN else np.cos(angle))
-            acc += term
+        for m, a in self._half():
+            g = a if m == _ZERO else 2 * a
+            angle = sum(x if k == 1 else k * x for k, x in zip(m, arrs) if k)
+            if g.real:
+                acc += g.real * np.cos(angle)
+            if g.imag:
+                acc -= g.imag * np.sin(angle)
         if scalar_in:
             return float(acc)
         return acc
@@ -176,133 +152,105 @@ class TrigExpr:
         o = TrigExpr._as_expr(other)
         if o is None:
             return NotImplemented
-        return TrigExpr(list(self.terms) + list(o.terms))
+        half = dict(self._half())
+        for m, a in o._half():
+            half[m] = half.get(m, 0j) + a
+        return TrigExpr(half.items())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TrigExpr([(-c, f) for c, f in self.terms])
+        return TrigExpr((m, -a) for m, a in self._half())
 
     def __sub__(self, other):
         o = TrigExpr._as_expr(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        o = TrigExpr._as_expr(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        """The convolution of the two maps, summed at m >= 0 only: the
+        constructor adds the conjugates, so the product is exactly Hermitian."""
         o = TrigExpr._as_expr(other)
         if o is None:
             return NotImplemented
-        raw = []
-        for c1, f1 in self.terms:
-            for c2, f2 in o.terms:
-                raw.append((c1 * c2, f1 + f2))
-        return TrigExpr(raw)
+        half = {}
+        for i, a in self._coef.items():
+            for j, b in o._coef.items():
+                m = (i[0] + j[0], i[1] + j[1], i[2] + j[2])
+                if m >= _ZERO:
+                    half[m] = half.get(m, 0j) + a * b
+        return TrigExpr(half.items())
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, TrigExpr) and self.terms == other.terms
+        return isinstance(other, TrigExpr) and self._coef == other._coef
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(tuple(self._coef.items()))
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, axis):
-        """Exact partial derivative with respect to x{axis+1} (axis 0-based)."""
+        """Exact partial derivative with respect to x{axis+1} (axis 0-based):
+        each a_m times i*m_axis."""
         if not 0 <= axis < _NVARS:
             raise ValueError("axis out of range")
-        raw = []
-        for coeff, factors in self.terms:
-            for j, (kind, freq, phase) in enumerate(factors):
-                k = freq[axis]
-                if k == 0:
-                    continue
-                rest = factors[:j] + factors[j + 1 :]
-                if kind == SIN:
-                    raw.append((coeff * k, rest + ((COS, freq, phase),)))
-                else:
-                    raw.append((-coeff * k, rest + ((SIN, freq, phase),)))
-        return TrigExpr(raw)
+        return TrigExpr((m, complex(-m[axis] * a.imag, m[axis] * a.real))
+                        for m, a in self._half())
 
     # -- exact Fourier data --------------------------------------------------
 
     def harmonics(self, dim):
-        """Exact coefficients a_m of  f(x) = sum_m a_m e^{i m.x},  |m| keys
-        are integer tuples of length dim. Hermitian: a_{-m} = conj(a_m).
+        """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
+        expression holds, with the keys m cut to length dim; a_{-m} =
+        conj(a_m) exactly.
 
         The samplers and abs_sum read them through a cache of their array
         form, built once per expression and dim."""
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
-        zero = (0,) * dim
-        total = {}
-        for coeff, factors in self.terms:
-            cur = {zero: complex(coeff)}
-            for kind, freq, phase in factors:
-                m = tuple(freq[:dim])
-                mneg = tuple(-k for k in m)
-                ph = cmath.exp(1j * phase)
-                if kind == COS:
-                    fac = {m: 0.5 * ph, mneg: 0.5 * ph.conjugate()}
-                else:
-                    fac = {m: -0.5j * ph, mneg: 0.5j * ph.conjugate()}
-                nxt = {}
-                for ka, va in cur.items():
-                    for kb, vb in fac.items():
-                        kk = tuple(a + b for a, b in zip(ka, kb))
-                        nxt[kk] = nxt.get(kk, 0.0j) + va * vb
-                cur = nxt
-            for k, v in cur.items():
-                total[k] = total.get(k, 0.0j) + v
-        return {k: v for k, v in total.items() if v != 0.0}
+        return {m[:dim]: a for m, a in self._coef.items()}
 
     def abs_sum(self, dim):
         """sum |a_m| over harmonics(dim): a bound on |f| at every point; inf
         or nan when the coefficients overflow."""
         return _spectrum(self, dim).abs_sum
 
-    def line_profile(self, base, direction):
-        """Restriction to the line x = base + s*direction as a list of
-        (omega, amp) with  f(s) = Re( sum amp * e^{i omega s} ), from the
-        harmonics: omega = m.direction and amp = a_m e^{i m.base}."""
-        out = {}
-        for m, a in self.harmonics(len(base)).items():
-            omega = sum(k * float(d) for k, d in zip(m, direction))
-            amp = a * cmath.exp(1j * sum(k * float(b) for k, b in zip(m, base)))
-            out[omega] = out.get(omega, 0.0j) + amp
-        return sorted(out.items())
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
+        """g_m as in __call__, printed as a_0, then Re g_m*cos(m.x) - Im
+        g_m*sin(m.x) for each m > 0. Doubling and halving are exact, so
+        parse_expr(str(e)) == e when e.in_range()."""
         parts = []
-        for coeff, factors in self.terms:
-            neg = coeff < 0
-            mag = abs(coeff)
-            if factors:
-                body = "*".join(_factor_str(f) for f in factors)
-                if mag != 1.0:
-                    body = repr(mag) + "*" + body
-            else:
-                body = repr(mag)
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        for m, a in self._half():
+            g = a if m == _ZERO else 2 * a
+            arg = _signed_sum((k, "x%d" % (i + 1)) for i, k in enumerate(m))
+            parts += [(g.real, "cos(%s)" % arg if arg else ""), (-g.imag, "sin(%s)" % arg)]
+        return _signed_sum(parts) or "0"
 
     def __repr__(self):
         return "TrigExpr(%s)" % str(self)
+
+
+def _signed_sum(parts):
+    """'t1 + t2 - t3 ...' from (value, body) pairs, each term |value|*body,
+    or body alone where |value| is 1, or |value| alone where body is '';
+    zero values are left out."""
+    text = ""
+    for value, body in parts:
+        if value == 0:
+            continue
+        mag = abs(value)
+        term = repr(mag) if not body else body if mag == 1 else "%r*%s" % (mag, body)
+        if text:
+            text += (" - " if value < 0 else " + ") + term
+        else:
+            text = ("-" if value < 0 else "") + term
+    return text
 
 
 class _Spectrum(NamedTuple):
@@ -409,25 +357,6 @@ def grid_angles(n, lo=0, hi=None):
     return 2.0 * math.pi * np.arange(lo, n if hi is None else hi) / n
 
 
-def _factor_str(factor):
-    kind, freq, phase = factor
-    pieces = []
-    for i, k in enumerate(freq):
-        if k == 0:
-            continue
-        var = "x%d" % (i + 1)
-        mag = abs(k)
-        body = var if mag == 1 else "%d*%s" % (mag, var)
-        if not pieces:
-            pieces.append(body)  # leading freq positive by normalization
-        else:
-            pieces.append(("- " if k < 0 else "+ ") + body)
-    if phase != 0.0:
-        pieces.append(("- " if phase < 0 else "+ ") + repr(abs(phase)))
-    name = "sin" if kind == SIN else "cos"
-    return "%s(%s)" % (name, " ".join(pieces))
-
-
 # -- parser ------------------------------------------------------------------
 #
 # expr   := ["-"] term (("+"|"-") term)*
@@ -508,7 +437,7 @@ def _parse_sum(ts):
         (_, op), _ = ts.take()
         pos = ts.tok_pos
         t = _parse_term(ts)
-        expr = _finite_terms(expr + t if op == "+" else expr - t, pos)
+        expr = _in_range(expr + t if op == "+" else expr - t, pos)
     return expr
 
 
@@ -517,13 +446,14 @@ def _parse_term(ts):
     while ts.peek() == ("op", "*"):
         ts.take()
         pos = ts.tok_pos
-        expr = _finite_terms(expr * _parse_factor(ts), pos)
+        expr = _in_range(expr * _parse_factor(ts), pos)
     return expr
 
 
-def _finite_terms(expr, pos):
-    """expr, unless combining values at pos overflowed a coefficient."""
-    if not all(math.isfinite(c) for c, _ in expr.terms):
+def _in_range(expr, pos):
+    """expr, unless combining values at pos took a coefficient out of range
+    (TrigExpr.in_range)."""
+    if not expr.in_range():
         raise ExprSyntaxError("coefficient out of range", pos)
     return expr
 
@@ -542,9 +472,18 @@ def _parse_factor(ts):
         if ts.peek() != ("op", ")"):
             raise ExprSyntaxError("expected ')'", ts.tok_pos)
         ts.take()
-        k = SIN if val == "sin" else COS
-        return TrigExpr([(1.0, ((k, freq, phase),))])
+        return _trig(val, freq, phase)
     raise ExprSyntaxError("expected a number or sin/cos", ts.tok_pos)
+
+
+def _trig(name, freq, phase):
+    """sin or cos(freq.x + phase) as its harmonics: e^{i phase}/2 at freq,
+    times -i for sin, and the conjugate at -freq."""
+    if freq == _ZERO:
+        return TrigExpr.constant(math.sin(phase) if name == "sin" else math.cos(phase))
+    ph = cmath.exp(1j * phase)
+    a = 0.5 * ph if name == "cos" else -0.5j * ph
+    return TrigExpr([(freq, a)])
 
 
 def _parse_linear(ts):

@@ -190,7 +190,7 @@ class Scenario:
         # differentiating multiplies coefficients by frequencies, which can
         # overflow a coefficient that parsed as finite
         for e in (*self.grad_L, *(f for row in self.db for f in row)):
-            if not all(math.isfinite(c) for c, _ in e.terms):
+            if not e.in_range():
                 raise ScenarioFormatError(
                     "a derivative of b or L has a coefficient out of range: %r" % str(e))
         self.components = tuple(self._component(i, spec) for i, spec in enumerate(components))
@@ -287,7 +287,10 @@ def _excess(x):
 
 
 def validate_scenario(scenario):
-    """Numerically re-check the declared structure; failures are non-fatal."""
+    """Numerically re-check the declared structure; failures are non-fatal.
+
+    A check over the whole validation grid samples its field with on_grid;
+    a check on a point set evaluates the field there with __call__."""
     tol = VALIDATION_TOL
     checks = []
     grid = Grid(scenario.dim, VALIDATION_RESOLUTION)
@@ -331,7 +334,8 @@ def validate_scenario(scenario):
                 "transverse jacobian constant, decoupled from the phase"))
         elif comp.kind == "torus":
             res = max(
-                float(np.max(np.abs(scenario.b[i](*mesh) - comp.k[i]))) for i in range(2)
+                float(np.max(np.abs(scenario.b[i].on_grid(grid.n, grid.dim) - comp.k[i])))
+                for i in range(2)
             )
             checks.append(ValidationCheck(
                 cid + " constant flow matches k", res <= tol, res))
@@ -345,7 +349,7 @@ def validate_scenario(scenario):
                 cid + " small-divisor bound", ok, _excess(1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
 
-    res = _excess(-float(np.min(scenario.L(*mesh))))
+    res = _excess(-float(np.min(scenario.L.on_grid(grid.n, grid.dim))))
     checks.append(ValidationCheck("L nonnegative", res <= tol, res))
 
     for cid, comp in zip(ids, scenario.components):

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 
 from driftlab.scenario import load_scenario
@@ -51,3 +53,91 @@ def dense_principal(dense):
 
 def l2_normalize(v, h, dim):
     return v / np.sqrt(np.sum(v * v) * h**dim)
+
+
+# -- reference harmonics by product expansion ----------------------------------
+#
+# Expression text is evaluated as Python, with x1..x3 bound to linear forms
+# and sin/cos to their two harmonics, by plain dict arithmetic that shares no
+# code with TrigExpr. Sums merge the dicts, and a product multiplies every
+# pair of entries.
+
+
+class _Linear:
+    """k.x + phase."""
+
+    def __init__(self, k, phase=0.0):
+        self.k, self.phase = tuple(k), phase
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Linear) else _Linear((0, 0, 0), other)
+        return _Linear(map(sum, zip(self.k, o.k)), self.phase + o.phase)
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        return _Linear((c * k for k in self.k), c * self.phase)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+
+class _Harmonics(dict):
+    """{m: a_m} with the arithmetic of the functions sum a_m e^{i m.x}."""
+
+    def __add__(self, other):
+        out = dict(self)
+        for m, a in _harmonics(other).items():
+            out[m] = out.get(m, 0j) + a
+        return _Harmonics(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Harmonics({m: -a for m, a in self.items()})
+
+    def __sub__(self, other):
+        return self + -_harmonics(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for i, a in self.items():
+            for j, b in _harmonics(other).items():
+                m = tuple(p + q for p, q in zip(i, j))
+                out[m] = out.get(m, 0j) + a * b
+        return _Harmonics(out)
+
+    __rmul__ = __mul__
+
+
+def _harmonics(value):
+    return value if isinstance(value, _Harmonics) else _Harmonics({(0, 0, 0): complex(value)})
+
+
+def _trig(name):
+    def factor(arg):
+        ph = cmath.exp(1j * arg.phase)
+        a = 0.5 * ph if name == "cos" else -0.5j * ph
+        return _Harmonics({arg.k: a}) + _Harmonics({tuple(-k for k in arg.k): a.conjugate()})
+    return factor
+
+
+def reference_harmonics(text, dim):
+    """The harmonics {m: a_m} of expression text (Python syntax: explicit
+    '*'), keys cut to length dim, zero entries dropped and zero parts +0.0."""
+    names = {"sin": _trig("sin"), "cos": _trig("cos"), "__builtins__": {}}
+    for i in range(3):
+        names["x%d" % (i + 1)] = _Linear(tuple(int(i == j) for j in range(3)))
+    harm = _harmonics(eval(text, names))
+    return {m[:dim]: a + 0j for m, a in harm.items() if a != 0}

@@ -346,17 +346,21 @@ class TestSweep:
     @pytest.mark.parametrize("schedule, match", [
         ("21", "sequence of numbers"),
         (b"21", "sequence of numbers"),
+        (0.1, "sequence of numbers"),
+        (None, "sequence of numbers"),
+        (np.array(0.1), "sequence of numbers"),
         ([True], "real number"),
         ([0.2, np.False_], "real number"),
         (["a"], "real number"),
         (["0.1"], "real number"),
         ([None], "real number"),
         ([0.2, 0.1 + 0j], "real number"),
-    ], ids=["str", "bytes", "bool", "numpy-bool", "str-entry", "numeric-str-entry",
+    ], ids=["str", "bytes", "float", "none", "0-d-array", "bool", "numpy-bool", "str-entry", "numeric-str-entry",
             "none-entry", "complex-entry"])
     def test_schedule_must_hold_real_numbers(self, schedule, match, monkeypatch):
         # a str was read one character at a time ("21" ran eps 2.0, then
-        # 1.0) and a bool as 0 or 1; both now fail like a bad tol does
+        # 1.0), a bool as 0 or 1, and a bare number raised a TypeError;
+        # all now fail like a bad tol does
         assembled = []
         monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
         with pytest.raises(ScheduleError, match=match):

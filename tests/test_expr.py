@@ -1,28 +1,50 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from conftest import SINK_3D, reference_harmonics
 
 from driftlab.expr import (
     ExprSyntaxError,
     TrigExpr,
     parse_expr,
 )
+from driftlab.operator import Grid
+from driftlab.scenario import BUILTINS
 
 
 def random_expr(rng, nterms=None, nvars=2):
-    raw = []
+    """A random sum of products of up to two factors sin/cos(k.x + phase),
+    |k_a| <= 3, built by parse_expr and arithmetic; and a plain-numpy
+    evaluator of the same sum."""
+    expr = TrigExpr()
+    terms = []
     for _ in range(nterms or rng.integers(1, 5)):
         coeff = float(rng.standard_normal())
         factors = []
         for _ in range(rng.integers(0, 3)):
-            kind = int(rng.integers(0, 2))
-            freq = tuple(int(k) for k in rng.integers(-3, 4, size=3))
-            freq = freq[:nvars] + (0,) * (3 - nvars)
+            name = ("sin", "cos")[rng.integers(0, 2)]
+            freq = [int(k) for k in rng.integers(-3, 4, size=3)][:nvars] + [0] * (3 - nvars)
             phase = float(rng.standard_normal())
-            factors.append((kind, freq, phase))
-        raw.append((coeff, tuple(factors)))
-    return TrigExpr(raw)
+            factors.append((name, freq, phase))
+        term = TrigExpr.constant(coeff)
+        for name, freq, phase in factors:
+            arg = " + ".join(["%d*x%d" % (k, i + 1) for i, k in enumerate(freq)] + [repr(phase)])
+            term = term * parse_expr("%s(%s)" % (name, arg.replace("+ -", "- ")))
+        expr = expr + term
+        terms.append((coeff, factors))
+
+    def evaluate(*x):
+        total = np.zeros(np.broadcast_shapes(*(np.shape(v) for v in x)))
+        for coeff, factors in terms:
+            value = coeff
+            for name, freq, phase in factors:
+                value = value * getattr(np, name)(sum(k * v for k, v in zip(freq, x)) + phase)
+            total = total + value
+        return total
+
+    return expr, evaluate
 
 
 class TestParseExamples:
@@ -50,6 +72,12 @@ class TestParseExamples:
 
     def test_constant_product(self):
         assert parse_expr("2*3")(0.0) == 6.0
+
+    def test_equal_means_equal_coefficients(self):
+        e = parse_expr("sin(x1)*sin(x1) + cos(x1)*cos(x1)")
+        assert e == parse_expr("1")
+        assert hash(e) == hash(parse_expr("1"))
+        assert parse_expr("2*sin(x1)*cos(x1)") == parse_expr("sin(2*x1)")
 
     def test_zero_collapse(self):
         e = parse_expr("cos(x1) - cos(x1)")
@@ -86,6 +114,8 @@ class TestParseErrors:
         ("sin(1e308 + 1e308)", 12),
         ("cos(1e308x1+1e308x1)", 4),
         ("cos(4503599627370496x1 + 4503599627370496x1)", 25),
+        ("1e308*cos(x1) + 1e308*cos(x1)", 16),
+        ("0.9e308*cos(x1) + 0.9e308*cos(x1)", 18),
     ])
     def test_number_out_of_range(self, text, offset):
         with pytest.raises(ExprSyntaxError) as ei:
@@ -116,7 +146,7 @@ class TestRoundTrip:
     def test_randomized_print_parse(self):
         rng = np.random.default_rng(7042)
         for _ in range(50):
-            e = random_expr(rng)
+            e, _ = random_expr(rng)
             back = parse_expr(str(e))
             assert back == e, str(e)
 
@@ -133,17 +163,18 @@ class TestRoundTrip:
 
 class TestCalculus:
     def test_derivative_matches_central_difference(self):
-        # analytic derivative vs central differences: O(h^2), ratio ~ 4
+        # analytic derivative vs central differences of the plain evaluator:
+        # O(h^2), ratio ~ 4
         rng = np.random.default_rng(11)
         for _ in range(10):
-            e = random_expr(rng, nvars=3)
+            e, f = random_expr(rng, nvars=3)
             d = e.derivative(0)
             pts = rng.uniform(0, 2 * np.pi, size=(20, 3))
             errs = []
             for h in (1e-2, 5e-3):
                 num = (
-                    e(pts[:, 0] + h, pts[:, 1], pts[:, 2])
-                    - e(pts[:, 0] - h, pts[:, 1], pts[:, 2])
+                    f(pts[:, 0] + h, pts[:, 1], pts[:, 2])
+                    - f(pts[:, 0] - h, pts[:, 1], pts[:, 2])
                 ) / (2 * h)
                 errs.append(np.mean(np.abs(num - d(pts[:, 0], pts[:, 1], pts[:, 2]))))
             if errs[1] < 1e-12:  # derivative vanishes identically
@@ -152,8 +183,8 @@ class TestCalculus:
 
     def test_product_rule(self):
         rng = np.random.default_rng(12)
-        a = random_expr(rng)
-        b = random_expr(rng)
+        a, _ = random_expr(rng)
+        b, _ = random_expr(rng)
         lhs = (a * b).derivative(1)
         rhs = a.derivative(1) * b + a * b.derivative(1)
         x = rng.uniform(0, 2 * np.pi, size=(2, 40))
@@ -164,7 +195,7 @@ class TestPeriodicityAndEval:
     def test_periodic_shift(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            e = random_expr(rng, nvars=3)
+            e, _ = random_expr(rng, nvars=3)
             p = rng.uniform(0, 2 * np.pi, size=3)
             for i in range(3):
                 q = p.copy()
@@ -179,17 +210,22 @@ class TestPeriodicityAndEval:
         assert v.shape == (8, 5)
         np.testing.assert_allclose(v, np.cos(x1) + np.sin(x2), atol=1e-15)
 
-    def test_terms_summed_in_order_bitwise(self):
-        # reference: each term evaluated alone, summed with a new array per term
+    def test_open_mesh_matches_coordinate_arrays_bitwise(self):
         rng = np.random.default_rng(17)
-        mesh = np.meshgrid(*([np.linspace(0, 2 * np.pi, 7)] * 3), indexing="ij", sparse=True)
+        for dim in (1, 2, 3):
+            grid = Grid(dim, 9)
+            for _ in range(5):
+                e, _ = random_expr(rng, nterms=6, nvars=dim)
+                got = e(*grid.open_mesh()).ravel()
+                want = e(*grid.coord_arrays())
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), str(e))
+
+    def test_matches_plain_evaluator(self):
+        rng = np.random.default_rng(18)
         for _ in range(10):
-            e = random_expr(rng, nterms=6, nvars=3)
-            want = np.zeros((7, 7, 7))
-            for term in e.terms:
-                want = want + TrigExpr([term])(*mesh)
-            got = e(*mesh)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), str(e))
+            e, f = random_expr(rng, nvars=3)
+            x = rng.uniform(-10, 10, size=(3, 50))
+            np.testing.assert_allclose(e(*x), f(*x), rtol=0, atol=1e-12)
 
     def test_extra_coordinates_allowed(self):
         e = parse_expr("cos(x1)")
@@ -204,20 +240,13 @@ class TestPeriodicityAndEval:
 class TestArithmetic:
     def test_pointwise_ops(self):
         rng = np.random.default_rng(14)
-        a = random_expr(rng)
-        b = random_expr(rng)
+        a, fa = random_expr(rng)
+        b, fb = random_expr(rng)
         x = rng.uniform(0, 2 * np.pi, size=(2, 30))
-        np.testing.assert_allclose(
-            (a + b)(x[0], x[1]), a(x[0], x[1]) + b(x[0], x[1]), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            (a - 2.5 * b)(x[0], x[1]),
-            a(x[0], x[1]) - 2.5 * b(x[0], x[1]),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            (a * b)(x[0], x[1]), a(x[0], x[1]) * b(x[0], x[1]), atol=1e-12
-        )
+        np.testing.assert_allclose((a + b)(*x), fa(*x) + fb(*x), atol=1e-12)
+        np.testing.assert_allclose((a - 2.5 * b)(*x), fa(*x) - 2.5 * fb(*x), atol=1e-12)
+        np.testing.assert_allclose((2.5 - a)(*x), 2.5 - fa(*x), atol=1e-12)
+        np.testing.assert_allclose((a * b)(*x), fa(*x) * fb(*x), atol=1e-12)
 
     def test_scalar_mixing(self):
         e = 1 - parse_expr("cos(x2)")
@@ -232,9 +261,9 @@ class TestHarmonics:
         x = 2 * np.pi * np.arange(n) / n
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         for _ in range(8):
-            e = random_expr(rng, nvars=2)
+            e, f = random_expr(rng, nvars=2)
             coeffs = e.harmonics(2)
-            grid = np.asarray(e(X1, X2), dtype=float)
+            grid = f(X1, X2)
             fhat = np.fft.fft2(grid) / n**2
             # fft convention: grid = sum_m fhat[m] e^{+i m.x} with m = fft index
             recon = np.zeros((n, n), dtype=complex)
@@ -244,12 +273,12 @@ class TestHarmonics:
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(16)
-        e = random_expr(rng, nvars=2)
-        coeffs = e.harmonics(2)
-        for m, a in coeffs.items():
-            mneg = tuple(-k for k in m)
-            assert mneg in coeffs
-            assert coeffs[mneg] == pytest.approx(a.conjugate(), abs=1e-14)
+        for _ in range(8):
+            e, _ = random_expr(rng, nvars=2)
+            coeffs = e.harmonics(2)
+            for m, a in coeffs.items():
+                assert coeffs[tuple(-k for k in m)] == a.conjugate()
+            assert coeffs.get((0, 0), 0).imag == 0.0
 
     def test_constant_coefficient_is_mean(self):
         e = parse_expr("0.75 + cos(x1)*cos(x1)")
@@ -259,27 +288,23 @@ class TestHarmonics:
         assert coeffs[(0, 0)].imag == 0.0
 
 
-class TestLineProfile:
-    def test_profile_matches_direct_evaluation(self):
-        rng = np.random.default_rng(17)
-        for _ in range(8):
-            e = random_expr(rng, nvars=3)
-            base = rng.uniform(0, 2 * np.pi, size=3)
-            direction = rng.standard_normal(3)
-            prof = e.line_profile(base, direction)
-            s = np.linspace(0, 5, 23)
-            direct = e(base[0] + s * direction[0],
-                       base[1] + s * direction[1],
-                       base[2] + s * direction[2])
-            recon = np.zeros_like(s, dtype=complex)
-            for w, a in prof:
-                recon += a * np.exp(1j * w * s)
-            np.testing.assert_allclose(recon.imag, 0, atol=1e-12)
-            np.testing.assert_allclose(recon.real, direct, atol=1e-11)
+@pytest.mark.parametrize("name", [*BUILTINS, "sink-3d"])
+def test_harmonics_match_product_expansion_bitwise(name):
+    """Every field's harmonics, sign of zero included, as a plain product
+    expansion of its text gives them: the operators are sampled from these
+    alone."""
+    spec = SINK_3D if name == "sink-3d" else BUILTINS[name]
+
+    def bits(harm):
+        return sorted((m, struct.pack("<dd", a.real, a.imag)) for m, a in harm.items())
+
+    for text in [*spec["b"], spec["c"], spec["L"]]:
+        got = parse_expr(text).harmonics(spec["dim"])
+        assert bits(got) == bits(reference_harmonics(text, spec["dim"])), text
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: setattr(TrigExpr(), "terms", ()), AttributeError, "TrigExpr is immutable"),
+    (lambda: setattr(TrigExpr(), "nvars", 3), AttributeError, "TrigExpr is immutable"),
     (lambda: parse_expr("cos(x1)").derivative(3), ValueError, "axis out of range"),
     (lambda: parse_expr("cos(x1)").derivative(-1), ValueError, "axis out of range"),
     (lambda: parse_expr("cos(x1 + x3)").harmonics(2), ValueError,
