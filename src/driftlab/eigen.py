@@ -1,22 +1,22 @@
 """Principal eigenpair of Metzler stencil operators by thick-restart
 Arnoldi, certified by a Collatz-Wielandt bracket.
 
-The Krylov basis holds KRYLOV_DIM vectors. After each cycle the rightmost
-Ritz pair of the projected matrix gives lam and u, and one operator apply
-gives the bracket [min (Au)_i/u_i, max (Au)_i/u_i]. For a Metzler,
-irreducible A and any u > 0 that bracket contains the Perron eigenvalue, so
-its width bounds the error of lam. Between cycles the basis is cut back to
-the span of the KEEP rightmost Ritz vectors, in place (Stewart's
-Krylov-Schur restart, with an orthonormalized real basis of Ritz vectors in
-place of the Schur vectors). A run whose bracket stalls restarts once, in
-the same loop, in the diagonal gauge of its best u, where the Perron vector
-is near 1 everywhere.
+One Arnoldi loop grows a basis of KRYLOV_DIM vectors by one map, step, and
+cuts it back between cycles to the span of the KEEP rightmost Ritz vectors,
+in place (Stewart's Krylov-Schur restart, with an orthonormalized real basis
+of Ritz vectors in place of the Schur vectors). After each cycle _certify
+checks the rightmost Ritz pair (lam, u) against the operator A itself: one
+apply gives the residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i].
+For a Metzler, irreducible A and any u > 0 that bracket contains the Perron
+eigenvalue, so its width bounds the error of lam. step starts as A. A run
+whose bracket stalls restarts once, in the same loop, with step the diagonal
+gauge v -> A(u*v)/u of its best u, whose Perron vector is near 1 everywhere.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,16 +60,17 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
     [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf.
-    `iterations` counts every op.apply call, at most max_iter of them. A run
-    ends when they run out, or when STALL_CYCLES cycles in a row improve
-    neither the bracket width nor, at equal width, the residual. A Ritz
-    vector is accurate in norm, not entry by entry, so where u spans many
-    decades a stalled bracket is rounding in u's small entries. The first
-    stall at a positive u therefore restarts the run, once, in the gauge of
-    that u: Arnoldi on D^-1 A D with D = diag(u), applied as
-    op.apply(u*v)/u, whose Perron vector is near 1 in every entry. The
-    iterate with the narrowest bracket (without one, the smallest residual)
-    is returned, flagged uncertified unless its bracket meets tol.
+    `iterations` counts every op.apply call, at most max_iter of them: one
+    per step and one per _certify. A run ends when they run out, or when
+    STALL_CYCLES cycles in a row improve neither the bracket width nor, at
+    equal width, the residual. A Ritz vector is accurate in norm, not entry
+    by entry, so where u spans many decades a stalled bracket is rounding in
+    u's small entries. The first stall at a positive u therefore restarts
+    the run, once, with step the gauge D^-1 A D, D = diag(u), applied as
+    op.apply(u*v)/u: its Perron vector is near 1 in every entry, and its
+    Ritz vectors times D are certified with A. The iterate with the
+    narrowest bracket (without one, the smallest residual) is returned,
+    flagged uncertified unless its bracket meets tol.
     """
     _check_budget(tol, max_iter)
     if not op.is_metzler:
@@ -84,6 +85,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         raise GridTooLargeError(
             "Krylov basis of %d x %d floats exceeds %d bytes"
             % (m + 1, size, BASIS_MAX_BYTES))
+    if np.iscomplexobj(x0):
+        raise ValueError("x0 must be real")
     x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (size,):
         raise ValueError("x0 has wrong length")
@@ -96,21 +99,17 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     V[0] = x / math.sqrt(np.sum(x * x))
-    H = np.zeros((m + 1, m))  # A V[:j].T = V[:j+1].T H[:j+1, :j]
-    gauge = scaled = None
+    H = np.zeros((m + 1, m))  # step(V[:j].T) = V[:j+1].T H[:j+1, :j]
+    step = apply = op.apply
+    gauge = 1.0  # D: a Ritz vector of step times D is one of A
     j = 0  # basis vectors with their column of H
     calls = 0
-    best = None
-    stale = 0
+    best, stale = None, 0
     roundoff = np.finfo(float).eps
     while True:
         invariant = False
         for _ in range(min(m - j, max_iter - calls - 1)):
-            if gauge is None:
-                w = op.apply(V[j], out=V[j + 1])  # the next basis row, made in place
-            else:
-                w = op.apply(np.multiply(gauge, V[j], out=scaled), out=V[j + 1])
-                w /= gauge
+            w = step(V[j], out=V[j + 1])  # the next basis row, made in place
             calls += 1
             basis = V[:j + 1]
             h = basis @ w
@@ -128,33 +127,22 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
         theta, Y = np.linalg.eig(H[:j, :j])
         order = np.argsort(-theta.real)
-        lam = float(theta[order[0]].real)
         u = Y[:, order[0]].real @ V[:j]
-        if gauge is not None:
-            u *= gauge
-        if np.sum(u) < 0:
-            u = -u
-        au = op.apply(u)
+        u *= gauge
+        pair = _certify(op, u, float(theta[order[0]].real), tol)
         calls += 1
-        residual = float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
-        lo, hi = -math.inf, math.inf
-        if u.min() > 0.0:
-            ratio = au / u
-            lo, hi = float(ratio.min()), float(ratio.max())
-            # the Perron value lies in [lo, hi], so moving lam there only helps
-            lam = min(max(lam, lo), hi)
-        certified = hi - lo <= tol * max(1.0, abs(lam))
-        iterate = (lam, u, residual, certified, lo, hi)
-        if best is None or _rank(iterate) < _rank(best):
-            best, stale = iterate, 0
+        if best is None or _rank(pair) < _rank(best):
+            best, stale = pair, 0
         else:
             stale += 1  # neither bracket nor residual improves: rounding
-        if certified or max_iter - calls < 2:
+        if pair.certified or max_iter - calls < 2:
             break
-        if stale == STALL_CYCLES and gauge is None and best[4] > -math.inf:
+        if stale == STALL_CYCLES and step is apply and best.lam_lo > -math.inf:
             # restart from the constant vector in the gauge of the best u; a
             # stale H would move lam and the bracket in the last digits
-            gauge, scaled = best[1], np.empty(size)
+            gauge = best.u
+            def step(v, out):
+                return np.divide(apply(gauge * v, out=out), gauge, out=out)
             V[0] = 1.0 / math.sqrt(size)
             H[:] = 0.0
             j = stale = 0
@@ -163,10 +151,26 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         elif j == m:
             j = _restart(V, H, theta, Y, order)
 
-    lam, u, residual, certified, lo, hi = best
-    u = u / math.sqrt(np.sum(u * u) * op.grid.h**op.grid.dim)
-    return EigenPair(lam=lam, u=u, residual=residual, iterations=calls,
-                     certified=certified, lam_lo=lo, lam_hi=hi)
+    u = best.u / math.sqrt(np.sum(best.u * best.u) * op.grid.h**op.grid.dim)
+    return replace(best, u=u, iterations=calls)
+
+
+def _certify(op, u, lam, tol):
+    """(lam, u) checked against op by one op.apply: u's sign fixed, the
+    residual, the Collatz-Wielandt bracket, and lam moved into it."""
+    if np.sum(u) < 0:
+        u = -u
+    au = op.apply(u)
+    residual = float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
+    lo, hi = -math.inf, math.inf
+    if u.min() > 0.0:
+        ratio = au / u
+        lo, hi = float(ratio.min()), float(ratio.max())
+        # the Perron value lies in [lo, hi], so moving lam there only helps
+        lam = min(max(lam, lo), hi)
+    return EigenPair(lam=lam, u=u, residual=residual, iterations=1,
+                     certified=hi - lo <= tol * max(1.0, abs(lam)),
+                     lam_lo=lo, lam_hi=hi)
 
 
 def _check_budget(tol, max_iter):
@@ -180,10 +184,9 @@ def _check_budget(tol, max_iter):
         raise ValueError("max_iter must allow one Arnoldi step and one check")
 
 
-def _rank(iterate):
+def _rank(pair):
     """Order of iterates: narrower bracket first, then smaller residual."""
-    lam, u, residual, certified, lo, hi = iterate
-    return hi - lo, residual
+    return pair.lam_hi - pair.lam_lo, pair.residual
 
 
 def _restart(V, H, theta, Y, order):
@@ -223,10 +226,6 @@ class SweepEntry:
     @property
     def ok(self):
         return self.pair is not None and self.pair.certified
-
-    @property
-    def lam(self):
-        return self.pair.lam if self.pair is not None else math.nan
 
 
 def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,8 @@ def assemble(scenario, grid, eps):
     for the drift."""
     if grid.dim != scenario.dim:
         raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+        raise ValueError("eps must be a real number, got %r" % (eps,))
     if grid.size > MAX_GRID_SIZE:
         raise GridTooLargeError(
             "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))

@@ -129,7 +129,9 @@ class TestPreconditions:
         (np.full(16, math.nan), "x0 must be finite and nonzero"),
         (np.ones(15), "x0 has wrong length"),
         (np.ones(17), "x0 has wrong length"),
-    ], ids=["zero", "nan", "short", "long"])
+        ((1 + 1j) * np.ones(16), "x0 must be real"),
+        (1j * np.ones(16), "x0 must be real"),
+    ], ids=["zero", "nan", "short", "long", "complex", "imaginary"])
     def test_bad_start_vector_rejected(self, x0, match):
         op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
         with pytest.raises(ValueError, match=match):
@@ -228,14 +230,15 @@ class TestArnoldiAgainstDenseOracle:
         assert pair.iterations == op.applies
 
     def test_unreachable_tolerance_stops_early(self):
-        # rounding keeps this bracket near 2e-12 wide: the solver must give
-        # up uncertified long before the budget, returning its best iterate
+        # rounding keeps this bracket near 2e-12 wide, in the gauge too: the
+        # solver must give up uncertified long before the budget, returning
+        # its best iterate, with every apply of the gauged step counted
         s = builtin_scenario("stable-point")
-        op = assemble(s, Grid(1, 64), 0.05)
+        op = CountingOperator(assemble(s, Grid(1, 64), 0.05))
         pair = principal_eigenpair(op, tol=1e-15)
         lam_d, _, _ = dense_principal(to_dense(op))
         assert not pair.certified
-        assert pair.iterations < 1000
+        assert pair.iterations == op.applies < 1000
         assert pair.lam_lo <= pair.lam <= pair.lam_hi
         assert abs(pair.lam - lam_d) <= 1e-10
 
@@ -316,7 +319,7 @@ class TestSweep:
         entries = eigen_sweep(s, 32, [0.2, 0.1, 0.05], tol=1e-10)
         for e in entries:
             assert e.ok
-            assert e.lam == pytest.approx(1.25, abs=1e-10)
+            assert e.pair.lam == pytest.approx(1.25, abs=1e-10)
 
     def test_warm_start_invariance(self):
         # the sweep starts each solve from the previous u; independent cold
@@ -326,7 +329,7 @@ class TestSweep:
         entries = eigen_sweep(s, 64, [0.2, 0.1, 0.05], tol=1e-11)
         for e in entries:
             cold = principal_eigenpair(assemble(s, g, e.eps), tol=1e-11)
-            assert e.lam == pytest.approx(cold.lam, abs=1e-10)
+            assert e.pair.lam == pytest.approx(cold.lam, abs=1e-10)
 
     def test_schedule_validation(self):
         s = builtin_scenario("stable-point")

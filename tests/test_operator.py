@@ -521,6 +521,14 @@ class TestEpsRange:
         with pytest.raises(ValueError, match="eps/h"):
             assemble(s, Grid(1, n), eps)
 
+    @pytest.mark.parametrize("eps", [True, "0.1", None, 0.1 + 0j, np.array([0.1, 0.2])],
+                             ids=["bool", "string", "none", "complex", "array"])
+    def test_not_a_real_number(self, eps):
+        # True would otherwise assemble the eps = 1 operator
+        s = builtin_scenario("stable-point")
+        with pytest.raises(ValueError, match="eps must be a real number"):
+            assemble(s, Grid(1, 16), eps)
+
     def test_smallest_positive_accepted(self):
         op = assemble(builtin_scenario("stable-point"), Grid(1, 8), 5e-324)
         assert np.all(np.isfinite(op.diag)) and op.is_metzler
