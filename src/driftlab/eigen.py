@@ -8,9 +8,16 @@ of Ritz vectors in place of the Schur vectors). After each cycle _certify
 checks the rightmost Ritz pair (lam, u) against the operator A itself: one
 apply gives the residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i].
 For a Metzler, irreducible A and any u > 0 that bracket contains the Perron
-eigenvalue, so its width bounds the error of lam. step starts as A. A run
-whose bracket stalls restarts once, in the same loop, with step the diagonal
-gauge v -> A(u*v)/u of its best u, whose Perron vector is near 1 everywhere.
+eigenvalue, so its width bounds the error of lam.
+
+On a 2D or 3D grid step is A. On a 1D grid it is the shifted inverse
+v -> (sigma - A)^-1 v, one solve with the operator's cyclic-reduction factor
+of sigma - A, for sigma just above A's largest row sum, which bounds the
+Perron value lam0. Its eigenvalues are 1/(sigma - lam), and lam0's is the
+rightmost, far ahead of the rest, so one cycle usually certifies; a Ritz
+value theta maps back to lam = sigma - 1/theta. A run whose bracket stalls
+restarts once, in the same loop, with step the diagonal gauge v ->
+step(u*v)/u of its best u, whose Perron vector is near 1 everywhere.
 """
 from __future__ import annotations
 
@@ -20,8 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridTooLargeError, NonMetzlerError, NotIrreducibleError, ScheduleError
-from .operator import Grid, assemble
+from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
+                     NotIrreducibleError, ScheduleError)
+from .operator import Grid, _CyclicFactor, assemble
 
 __all__ = [
     "EigenPair",
@@ -40,7 +48,8 @@ KRYLOV_DIM = 30
 KEEP = 10
 # give up, uncertified, after this many cycles without a narrower bracket
 STALL_CYCLES = 10
-# refuse to allocate a Krylov basis of (KRYLOV_DIM + 1) float64 rows larger than this
+# refuse to allocate a Krylov basis of (KRYLOV_DIM + 1) float64 rows, together
+# with a 1D step's factor, larger than this
 BASIS_MAX_BYTES = 2**30
 
 
@@ -49,7 +58,7 @@ class EigenPair:
     lam: float
     u: np.ndarray  # positive when certified, sum(u^2)*h^dim = 1
     residual: float  # sup|A u - lam u| / sup|u|
-    iterations: int  # operator applies made by the solver
+    iterations: int  # steps (1D: solves, else applies) plus certifying applies
     certified: bool
     lam_lo: float  # Collatz-Wielandt bracket at u: min (Au)_i/u_i
     lam_hi: float  # max (Au)_i/u_i; both infinite unless u > 0
@@ -60,19 +69,24 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
     [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf.
-    `iterations` counts every op.apply call, at most max_iter of them: one
-    per step and one per _certify. A run ends when they run out, or when
-    STALL_CYCLES cycles in a row improve neither the bracket width nor, at
-    equal width, the residual. A Ritz vector is accurate in norm, not entry
-    by entry, so where u spans many decades a stalled bracket is rounding in
-    u's small entries. The first stall at a positive u therefore restarts
-    the run, once, with step the gauge D^-1 A D, D = diag(u), applied as
-    op.apply(u*v)/u: its Perron vector is near 1 in every entry, and its
-    Ritz vectors times D are certified with A. The iterate with the
-    narrowest bracket (without one, the smallest residual) is returned,
-    flagged uncertified unless its bracket meets tol.
+    Arnoldi iterates a map, the step: op.apply on a 2D or 3D grid, and on a
+    1D grid a solve with (sigma - A), sigma just above A's largest row sum,
+    factored once per call. `iterations` counts the steps and the one
+    op.apply per _certify, at most max_iter of them. A run ends when they
+    run out, or when STALL_CYCLES cycles in a row improve neither the
+    bracket width nor, at equal width, the residual. A Ritz vector is
+    accurate in norm, not entry by entry, so where u spans many decades a
+    stalled bracket is rounding in u's small entries. The first stall at a
+    positive u therefore restarts the run, once, with step the gauge D^-1
+    step D, D = diag(u), applied as step(u*v)/u: its Perron vector is near 1
+    in every entry, and its Ritz vectors times D are certified with A. The
+    iterate with the narrowest bracket (without one, the smallest residual)
+    is returned, flagged uncertified unless its bracket meets tol.
     """
     _check_budget(tol, max_iter)
+    for entries in (op.diag, op.off):
+        if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
+            raise CoefficientOverflowError("operator entries must be finite")
     if not op.is_metzler:
         raise NonMetzlerError(
             "off-diagonal entries reach %g < 0" % op.min_offdiag)
@@ -81,9 +95,11 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             "zero neighbor couplings: Perron structure not certified")
     size = op.grid.size
     m = KRYLOV_DIM
-    if (m + 1) * size * 8 > BASIS_MAX_BYTES:
+    inverse = op.grid.dim == 1
+    floats = (m + 1) * size + (_CyclicFactor.floats(size) if inverse else 0)
+    if floats * 8 > BASIS_MAX_BYTES:
         raise GridTooLargeError(
-            "Krylov basis of %d x %d floats exceeds %d bytes"
+            "Krylov basis of %d x %d floats and its step's factor exceed %d bytes"
             % (m + 1, size, BASIS_MAX_BYTES))
     if np.iscomplexobj(x0):
         raise ValueError("x0 must be real")
@@ -100,7 +116,17 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     V[0] = x / math.sqrt(np.sum(x * x))
     H = np.zeros((m + 1, m))  # step(V[:j].T) = V[:j+1].T H[:j+1, :j]
-    step = apply = op.apply
+    if inverse:
+        # the Perron value of a Metzler A is at most its largest row sum; the
+        # margin is far above the rounding of the sums and of the factor's
+        # eliminations, a few ulps of the largest absolute row sum
+        couplings = op.off.sum(0)
+        hi = float(np.max(op.diag + couplings))  # the largest row sum
+        scale = float(np.max(np.abs(op.diag) + couplings))
+        sigma = hi + max(2.0**-20 * max(1.0, abs(hi)), 2.0**-40 * scale)
+        step = base = op._shifted_solver(sigma)
+    else:
+        step = base = op.apply
     gauge = 1.0  # D: a Ritz vector of step times D is one of A
     j = 0  # basis vectors with their column of H
     calls = 0
@@ -129,7 +155,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         order = np.argsort(-theta.real)
         u = Y[:, order[0]].real @ V[:j]
         u *= gauge
-        pair = _certify(op, u, float(theta[order[0]].real), tol)
+        ritz = float(theta[order[0]].real)
+        pair = _certify(op, u, sigma - 1.0 / ritz if inverse else ritz, tol)
         calls += 1
         if best is None or _rank(pair) < _rank(best):
             best, stale = pair, 0
@@ -137,12 +164,12 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             stale += 1  # neither bracket nor residual improves: rounding
         if pair.certified or max_iter - calls < 2:
             break
-        if stale == STALL_CYCLES and step is apply and best.lam_lo > -math.inf:
+        if stale == STALL_CYCLES and step is base and best.lam_lo > -math.inf:
             # restart from the constant vector in the gauge of the best u; a
             # stale H would move lam and the bracket in the last digits
             gauge = best.u
             def step(v, out):
-                return np.divide(apply(gauge * v, out=out), gauge, out=out)
+                return np.divide(base(gauge * v, out=out), gauge, out=out)
             V[0] = 1.0 / math.sqrt(size)
             H[:] = 0.0
             j = stale = 0

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the same parser as the tomli package
+    tomllib = pytest.importorskip("tomli")
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SINK_3D, bare_scenario, dense_principal, l2_normalize, to_dense
-from driftlab import eigen
+from driftlab import eigen, operator
 from driftlab.eigen import (
     EigenPair,
     SweepEntry,
@@ -15,6 +15,7 @@ from driftlab.eigen import (
     principal_eigenpair,
 )
 from driftlab.errors import (
+    CoefficientOverflowError,
     GridTooLargeError,
     NonMetzlerError,
     NotIrreducibleError,
@@ -36,15 +37,25 @@ ORACLE_IDS = [s.name for s, _ in ORACLE_CASES]
 
 
 class CountingOperator(SparseOperator):
-    """The same stencil operator, counting its apply calls."""
+    """The same stencil operator, counting its apply calls and the solves
+    made with its shifted factors."""
 
     def __init__(self, op):
         super().__init__(op.grid, op.diag, op.off)
         self.applies = 0
+        self.solves = 0
 
     def apply(self, x, out=None):
         self.applies += 1
         return super().apply(x, out=out)
+
+    def _shifted_solver(self, sigma):
+        solve = super()._shifted_solver(sigma)
+
+        def counted(v, out):
+            self.solves += 1
+            return solve(v, out=out)
+        return counted
 
 
 def with_negative_coupling(op):
@@ -75,6 +86,22 @@ class TestPreconditions:
         assert op.min_offdiag == -1e-3
         with pytest.raises(NonMetzlerError, match="-0.001 < 0"):
             principal_eigenpair(op)
+
+    @pytest.mark.parametrize("where, value", [
+        ("diag", math.nan), ("diag", math.inf), ("diag", -math.inf),
+        ("off", math.inf), ("off", math.nan),
+    ], ids=["diag-nan", "diag-inf", "diag-neg-inf", "off-inf", "off-nan"])
+    def test_non_finite_entries_rejected(self, where, value):
+        # checked once, before any apply or factor: such an entry would
+        # otherwise surface as numpy warnings and an untyped LinAlgError, and
+        # a NaN in off as a NonMetzlerError ("nan < 0")
+        base = assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1)
+        diag, off = base.diag.copy(), base.off.copy()
+        (diag if where == "diag" else off[1])[5] = value
+        op = CountingOperator(SparseOperator(base.grid, diag, off))
+        with pytest.raises(CoefficientOverflowError, match="finite"):
+            principal_eigenpair(op)
+        assert op.applies == op.solves == 0
 
     def test_reducible_rejected(self):
         s = bare_scenario(1, ["0"], "0")
@@ -165,16 +192,20 @@ class TestPreconditions:
 
 class TestMemoryGuard:
     def test_boundary_allowed(self, monkeypatch):
-        # a Krylov basis exactly at the byte limit is allocated; one row more
-        # is refused before any apply
-        rows = eigen.KRYLOV_DIM + 1
-        monkeypatch.setattr(eigen, "BASIS_MAX_BYTES", rows * 16 * 8)
-        s = bare_scenario(1, ["-sin(x1)"], "cos(x1)")
-        assert principal_eigenpair(assemble(s, Grid(1, 16), 0.1)).certified
-        op = CountingOperator(assemble(s, Grid(1, 17), 0.1))
-        with pytest.raises(GridTooLargeError):
-            principal_eigenpair(op)
-        assert op.applies == 0
+        # a Krylov basis, with a 1D step's factor, exactly at the byte limit
+        # is allocated; one float more is refused before any apply or solve
+        for dim, n in ((1, 16), (2, 8)):
+            g = Grid(dim, n)
+            factor = operator._CyclicFactor.floats(g.size) if dim == 1 else 0
+            limit = ((eigen.KRYLOV_DIM + 1) * g.size + factor) * 8
+            s = bare_scenario(dim, ["-sin(x1)"] + ["0"] * (dim - 1), "cos(x1)")
+            monkeypatch.setattr(eigen, "BASIS_MAX_BYTES", limit)
+            assert principal_eigenpair(assemble(s, g, 0.1)).certified
+            monkeypatch.setattr(eigen, "BASIS_MAX_BYTES", limit - 8)
+            op = CountingOperator(assemble(s, g, 0.1))
+            with pytest.raises(GridTooLargeError):
+                principal_eigenpair(op)
+            assert op.applies == op.solves == 0
 
 
 class TestArnoldiAgainstDenseOracle:
@@ -190,7 +221,9 @@ class TestArnoldiAgainstDenseOracle:
         assert pair.lam_lo <= pair.lam <= pair.lam_hi
         assert pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= pair.lam_hi
         assert pair.lam_hi - pair.lam_lo <= tol * max(1.0, abs(pair.lam))
-        assert pair.iterations == op.applies
+        # a 1D step is a solve with sigma - A, a 2D or 3D one an apply
+        assert pair.iterations == op.applies + op.solves
+        assert (op.solves > 0) == (s.dim == 1)
 
     @pytest.mark.parametrize("s, n", ORACLE_CASES, ids=ORACLE_IDS)
     def test_warm_start_costs_no_more_applies(self, s, n):
@@ -212,7 +245,8 @@ class TestArnoldiAgainstDenseOracle:
         op = CountingOperator(transposed(assemble(s, Grid(1, 512), 0.05)))
         pair = principal_eigenpair(op, max_iter=20_000)
         assert not pair.certified
-        assert pair.iterations == op.applies < 2_000
+        assert pair.lam_lo == -math.inf and pair.lam_hi == math.inf
+        assert pair.iterations == op.applies + op.solves < 2_000
 
     @pytest.mark.parametrize("s, n", [(builtin_scenario("mixed"), 16),
                                       (scenario_from_dict(SINK_3D), 8)],
@@ -230,15 +264,15 @@ class TestArnoldiAgainstDenseOracle:
         assert pair.iterations == op.applies
 
     def test_unreachable_tolerance_stops_early(self):
-        # rounding keeps this bracket near 2e-12 wide, in the gauge too: the
+        # rounding keeps this bracket near 2e-14 wide, in the gauge too: the
         # solver must give up uncertified long before the budget, returning
-        # its best iterate, with every apply of the gauged step counted
+        # its best iterate, with every solve of the gauged step counted
         s = builtin_scenario("stable-point")
         op = CountingOperator(assemble(s, Grid(1, 64), 0.05))
         pair = principal_eigenpair(op, tol=1e-15)
         lam_d, _, _ = dense_principal(to_dense(op))
         assert not pair.certified
-        assert pair.iterations == op.applies < 1000
+        assert pair.iterations == op.applies + op.solves < 1000
         assert pair.lam_lo <= pair.lam <= pair.lam_hi
         assert abs(pair.lam - lam_d) <= 1e-10
 
@@ -284,6 +318,31 @@ class TestSolvesAgainstDenseOracle:
             assert np.all(v > 0) or np.all(v < 0), s.name
 
 
+class TestShiftedInverse:
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_stable_point_certified_on_fine_grids(self, n):
+        # Arnoldi on A itself takes 3,000 to 7,500 applies per entry at
+        # n = 4096 and gives up uncertified at n = 16384; the shifted inverse
+        # certifies each entry in one or two cycles
+        eps = [0.2, 0.1, 0.05, 0.025, 0.0125]
+        entries = eigen_sweep(builtin_scenario("stable-point"), n, eps)
+        assert all(e.ok for e in entries), [(e.eps, e.error) for e in entries]
+        assert all(e.pair.iterations <= 100 for e in entries)
+
+    def test_stalled_bracket_certified_in_gauge(self):
+        # at n = 256, eps = 0.01 rounding stalls the bracket of the plain
+        # shifted inverse near 9e-13; the gauge of its best u, wrapped
+        # around the solve, narrows it to about 5e-14
+        tol = 2e-13
+        s = builtin_scenario("stable-point")
+        op = CountingOperator(assemble(s, Grid(1, 256), 0.01))
+        pair = principal_eigenpair(op, tol=tol)
+        lam_d, _, _ = dense_principal(to_dense(op))
+        assert pair.certified
+        assert pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= pair.lam_hi
+        assert pair.iterations == op.applies + op.solves
+
+
 class TestPairProperties:
     def test_positivity_and_normalization(self):
         s = builtin_scenario("stable-cycle")
@@ -311,6 +370,15 @@ class TestPairProperties:
         pair = principal_eigenpair(op, max_iter=5)
         assert not pair.certified
         assert pair.iterations == 5
+
+    def test_budget_counts_solves(self):
+        # in 1D max_iter bounds the solves together with the certifying applies
+        s = builtin_scenario("stable-point")
+        op = CountingOperator(transposed(assemble(s, Grid(1, 512), 0.05)))
+        pair = principal_eigenpair(op, max_iter=5)
+        assert not pair.certified
+        assert pair.iterations == op.applies + op.solves == 5
+        assert op.solves == 4
 
 
 class TestSweep:

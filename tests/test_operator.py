@@ -449,6 +449,50 @@ class TestAssembleStencil:
             op.apply(np.ones(17))
 
 
+def shifted_above_row_sums(op, margin):
+    return float(np.max(op.diag + op.off.sum(0))) + margin
+
+
+class TestShiftedSolver:
+    @pytest.mark.parametrize("direct_rows", [4, 64])
+    @pytest.mark.parametrize("n", [8, 9, 11, 64, 513])
+    def test_matches_dense_solve(self, monkeypatch, n, direct_rows):
+        # the rows of each halving, down to 4: 8; 9, 5; 11, 6; 64, 32, 16,
+        # 8; and 513, 257, ..., 5, all odd. Down to 64 only 513 halves (513,
+        # 257, 129, 65), and the dense inverse solves the other grids whole
+        monkeypatch.setattr(operator, "DIRECT_ROWS", direct_rows)
+        op = assemble(builtin_scenario("stable-point"), Grid(1, n), 0.05)
+        sigma = shifted_above_row_sums(op, 0.01)
+        v = np.random.default_rng(n).standard_normal(n)
+        out = np.empty(n)
+        assert op._shifted_solver(sigma)(v, out=out) is out
+        want = np.linalg.solve(sigma * np.eye(n) - to_dense(op), v)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        # backward error: a few units of rounding of |sigma - A| |x|
+        size = np.abs(sigma - op.diag) + op.off.sum(0)
+        residual = sigma * out - op.apply(out) - v
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(size) * np.max(np.abs(out))
+
+    @pytest.mark.parametrize("direct_rows", [4, 64])
+    @pytest.mark.parametrize("n", [8, 11, 64, 513, 4096])
+    def test_floats_counts_what_the_factor_holds(self, monkeypatch, n, direct_rows):
+        # the eigensolver's memory guard counts the factor by floats(n)
+        monkeypatch.setattr(operator, "DIRECT_ROWS", direct_rows)
+        op = assemble(builtin_scenario("stable-point"), Grid(1, n), 0.05)
+        sigma = shifted_above_row_sums(op, 0.01)
+        tracemalloc.start()
+        try:
+            solve = op._shifted_solver(sigma)
+            traces = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        # numpy traces its data buffers in a domain of their own; solve holds
+        # the factor, so the snapshot sees all of it and none of the temporaries
+        held = sum(t.size for t in traces if t.domain == np.lib.tracemalloc_domain)
+        assert held == 8 * operator._CyclicFactor.floats(n)
+        del solve
+
+
 class TestMetzler:
     def test_upwind_always_metzler(self):
         for s in map(builtin_scenario, BUILTIN_NAMES):
