@@ -23,9 +23,12 @@ def continued_fraction(x, max_terms=40):
     """Partial quotients of x from float arithmetic.
 
     Terminates early when the remainder is exhausted (rational within float
-    precision). Useful to ~35 terms for well-behaved irrationals.
+    precision). Useful to ~35 terms for well-behaved irrationals. A NaN or
+    infinite x raises ValueError.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("continued_fraction needs a finite x, got %r" % x)
     out = []
     for _ in range(max_terms):
         a = math.floor(x)

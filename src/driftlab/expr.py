@@ -96,8 +96,8 @@ class TrigExpr:
         g_0 = a_0 and g_m = 2 a_m off the zero mode, added into one
         accumulator in key order.
 
-        This is the pointwise evaluator, for point sets such as the
-        components' samples; on_grid fills a whole tensor grid faster. The
+        This is the pointwise evaluator, for point sets such as the mesh
+        points near a component; on_grid fills a whole tensor grid faster. The
         angle m.x takes only the axes with m_a != 0, so on an open mesh
         (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on n points.
         The arithmetic per element is the same for any broadcast shape.

@@ -7,15 +7,15 @@ components. Components arrive in their JSON form. Each is parsed, checked
 against the scenario's dimension and linearized once, when the scenario is
 built: a point gets its jacobian Db(P) and a cycle its transverse matrix B,
 both from the exact derivative fields. Validation re-checks the declared
-structure numerically and reports residuals without mutating anything.
-
-Point sets are coordinate tuples: one array per axis, broadcastable against
-each other, as TrigExpr.__call__ takes them and Grid.open_mesh returns them.
-A component's sample(m) returns such a tuple, and its distance(coords)
-returns an array of the coordinates' broadcast shape.
+structure and reports residuals without mutating anything. A component
+states the coordinates it fixes (_fixed), from which validation bounds a
+field on all of it; its distance(coords) takes one array per axis,
+broadcastable, as Grid.open_mesh returns them, and returns their broadcast
+shape.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
@@ -80,12 +80,13 @@ class Point:
     def is_attracting(self):
         return bool(np.all(np.real(np.linalg.eigvals(self.jacobian)) < 0))
 
+    @property
+    def _fixed(self):
+        return tuple(enumerate(self.location))
+
     def distance(self, coords):
         return np.sqrt(sum(periodic_delta(x - p) ** 2
                            for x, p in zip(coords, self.location)))
-
-    def sample(self, m):
-        return tuple(self.location[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +115,9 @@ class Cycle:
         ev = np.linalg.eigvals(self.transverse_matrix)
         return bool(np.all(np.real(ev) < 0))
 
-    def sample(self, m):
-        """m points at equal time steps, the first at running coordinate 0."""
-        running = (self.speed * (np.arange(m) * (self.period / m))) % TWO_PI
-        return tuple(running if i == self.axis else np.full(m, self.level)
-                     for i in range(self.dim))
+    @property
+    def _fixed(self):
+        return tuple((t, self.level) for t in self.transverse_axes)
 
     def distance(self, coords):
         d2 = sum(periodic_delta(coords[t] - self.level) ** 2 for t in self.transverse_axes)
@@ -136,13 +135,10 @@ class Torus:
     kind = "torus"
 
     is_attracting = True
+    _fixed = ()
 
     def distance(self, coords):
         return np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
-
-    def sample(self, m):
-        x = TWO_PI * np.arange(m) / m
-        return x[:, None], x[None, :]
 
 
 class Scenario:
@@ -286,59 +282,67 @@ def _excess(x):
     return 0.0 if x <= 0.0 else x
 
 
+def _held(f, dim, fixed):
+    """f.harmonics(dim) with each axis a of `fixed`, (a, x) pairs, held at
+    x: a_m times e^{i m_a x} moves to the frequency with m_a = 0."""
+    fixed, held = dict(fixed), {}
+    for m, a in f.harmonics(dim).items():
+        key = tuple(0 if i in fixed else k for i, k in enumerate(m))
+        phase = sum(m[i] * x for i, x in fixed.items())
+        held[key] = held.get(key, 0j) + a * cmath.exp(1j * phase)
+    return held
+
+
+def _bound(comp, dim, fields):
+    """The largest sum |a| over the fields' harmonics held on comp: it bounds
+    |field| on all of comp. NaN if any sum is."""
+    return float(np.max([sum(map(abs, _held(f, dim, comp._fixed).values()))
+                         for f in fields]))
+
+
 def validate_scenario(scenario):
     """Numerically re-check the declared structure; failures are non-fatal.
 
-    A check over the whole validation grid samples its field with on_grid;
-    a check on a point set evaluates the field there with __call__."""
+    An equality on a component has the residual _bound(field - value), which
+    bounds the deviation on all of the component. The two inequalities are
+    checked on the validation grid: L >= 0 from on_grid, and b . grad L <= 0
+    near each attracting component from __call__ on the open mesh."""
     tol = VALIDATION_TOL
+    dim = scenario.dim
     checks = []
-    grid = Grid(scenario.dim, VALIDATION_RESOLUTION)
+    grid = Grid(dim, VALIDATION_RESOLUTION)
     mesh = grid.open_mesh()
     ids = scenario.component_ids()
 
+    def residual_check(name, res, detail=""):
+        checks.append(ValidationCheck(name, res <= tol, res, detail))
+
     for cid, comp in zip(ids, scenario.components):
         if comp.kind == "point":
-            res = float(np.max(np.abs([f(*comp.location) for f in scenario.b])))
+            residual_check(cid + " field vanishes", _bound(comp, dim, scenario.b),
+                           "bounds max |b| at the point")
+            res = float(np.min(np.abs(np.real(np.linalg.eigvals(comp.jacobian)))))
             checks.append(ValidationCheck(
-                cid + " field vanishes", res <= tol, res))
-            re_parts = np.abs(np.real(np.linalg.eigvals(comp.jacobian)))
-            res = float(np.min(re_parts))
-            checks.append(ValidationCheck(
-                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res,
-                "min |Re eig(Db)|"))
+                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res, "min |Re eig(Db)|"))
         elif comp.kind == "cycle":
-            cc = comp.sample(256)
-            res = 0.0
-            for i in range(scenario.dim):
-                want = comp.speed if i == comp.axis else 0.0
-                res = max(res, float(np.max(np.abs(scenario.b[i](*cc) - want))))
+            res = _bound(comp, dim, [bi - comp.speed if i == comp.axis else bi
+                                     for i, bi in enumerate(scenario.b)])
+            residual_check(cid + " orbit of the field", res,
+                           "bounds max |b - speed*e_axis| on the cycle")
+            res = float(np.min(np.abs(np.real(np.linalg.eigvals(comp.transverse_matrix)))))
             checks.append(ValidationCheck(
-                cid + " orbit of the field", res <= tol, res,
-                "max |b(cycle) - speed*e_axis|"))
-            ev = np.real(np.linalg.eigvals(comp.transverse_matrix))
-            res = float(np.min(np.abs(ev)))
-            checks.append(ValidationCheck(
-                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res,
-                "min |Re eig(B)|"))
-            res = 0.0
+                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res, "min |Re eig(B)|"))
             t_ax = comp.transverse_axes
-            for a, i in enumerate(t_ax):
-                for bj, j in enumerate(t_ax):
-                    dev = scenario.db[i][j](*cc) - comp.transverse_matrix[a, bj]
-                    res = max(res, float(np.max(np.abs(dev))))
-                dev = scenario.db[i][comp.axis](*cc)
-                res = max(res, float(np.max(np.abs(dev))))
-            checks.append(ValidationCheck(
-                cid + " constant normal form", res <= tol, res,
-                "transverse jacobian constant, decoupled from the phase"))
+            want = np.zeros((dim, dim))  # B on the transverse block, 0 on the phase column
+            want[np.ix_(t_ax, t_ax)] = comp.transverse_matrix
+            res = _bound(comp, dim, [scenario.db[i][j] - want[i, j]
+                                     for i in t_ax for j in range(dim)])
+            residual_check(cid + " constant normal form", res,
+                           "bounds max |Db - B| on the cycle, B 0 in the phase column")
         elif comp.kind == "torus":
-            res = max(
-                float(np.max(np.abs(scenario.b[i].on_grid(grid.n, grid.dim) - comp.k[i])))
-                for i in range(2)
-            )
-            checks.append(ValidationCheck(
-                cid + " constant flow matches k", res <= tol, res))
+            res = _bound(comp, dim, [bi - ki for bi, ki in zip(scenario.b, comp.k)])
+            residual_check(cid + " constant flow matches k", res,
+                           "bounds max |b - k| on the torus")
             k1, k2 = (float(v) for v in comp.k)
             ok = k2 != 0 and is_irrational(k1 / k2, IRRATIONALITY_DEPTH)
             checks.append(ValidationCheck(
@@ -349,32 +353,21 @@ def validate_scenario(scenario):
                 cid + " small-divisor bound", ok, _excess(1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
 
-    res = _excess(-float(np.min(scenario.L.on_grid(grid.n, grid.dim))))
-    checks.append(ValidationCheck("L nonnegative", res <= tol, res))
+    residual_check("L nonnegative", _excess(-float(np.min(scenario.L.on_grid(grid.n, dim)))))
 
     for cid, comp in zip(ids, scenario.components):
-        cc = comp.sample(256)
-        gmax = max(
-            float(np.max(np.abs(scenario.grad_L[i](*cc)))) for i in range(scenario.dim)
-        )
         if comp.is_attracting:
-            lmax = float(np.max(np.abs(scenario.L(*cc))))
-            res = max(lmax, gmax)
-            checks.append(ValidationCheck(
-                cid + " L vanishes at order 2", res <= tol, res,
-                "max(|L|, |grad L|) on the component"))
+            residual_check(cid + " L vanishes at order 2",
+                           _bound(comp, dim, (scenario.L, *scenario.grad_L)),
+                           "bounds max(|L|, |grad L|) on the component")
             mask = comp.distance(mesh) <= NEIGHBORHOOD_RADIUS
             nc = [grid.axis()[i] for i in np.nonzero(mask)]
-            decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc)
-                        for i in range(scenario.dim))
-            res = _excess(float(np.max(decay)))
-            checks.append(ValidationCheck(
-                cid + " local Lyapunov decrease", res <= tol, res,
-                "max (b, grad L) within %.2g" % NEIGHBORHOOD_RADIUS))
+            decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc) for i in range(dim))
+            residual_check(cid + " local Lyapunov decrease", _excess(float(np.max(decay))),
+                           "max (b, grad L) within %.2g" % NEIGHBORHOOD_RADIUS)
         else:
-            checks.append(ValidationCheck(
-                cid + " L critical point", gmax <= tol, gmax,
-                "max |grad L| on the component"))
+            residual_check(cid + " L critical point", _bound(comp, dim, scenario.grad_L),
+                           "bounds max |grad L| on the component")
 
     return ValidationReport(scenario.name, VALIDATION_RESOLUTION, tol, tuple(checks))
 
@@ -417,8 +410,8 @@ BUILTIN_NAMES = tuple(BUILTINS)
 
 def builtin_scenario(name):
     """Load one of the reference scenarios by name."""
-    if name not in BUILTINS:
-        raise ScenarioFormatError("unknown builtin scenario %r" % name)
+    if not isinstance(name, str) or name not in BUILTINS:
+        raise ScenarioFormatError("unknown builtin scenario %r" % (name,))
     return scenario_from_dict(dict(BUILTINS[name], name=name))
 
 
@@ -477,9 +470,10 @@ def scenario_to_dict(scenario):
 
 
 def load_scenario(source):
-    """Builtin name, path to a JSON file (str or os.PathLike), or a parsed
-    dict; anything else, an int that open() would take as a file
-    descriptor included, raises ScenarioFormatError."""
+    """Builtin name, path to a UTF-8 JSON file (str or os.PathLike), or a
+    parsed dict; anything else, an int that open() would take as a file
+    descriptor included, raises ScenarioFormatError, as does a file that is
+    not JSON. A file that cannot be opened raises the OSError of open()."""
     if isinstance(source, dict):
         return scenario_from_dict(source)
     if not isinstance(source, (str, os.PathLike)):
@@ -487,6 +481,9 @@ def load_scenario(source):
             "scenario source must be a dict, a builtin name or a path, got %r" % (source,))
     if source in BUILTIN_NAMES:
         return builtin_scenario(source)
-    with open(source) as fh:
-        data = json.load(fh)
+    with open(source, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise ScenarioFormatError("%s is not a JSON file: %s" % (source, exc)) from exc
     return scenario_from_dict(data)

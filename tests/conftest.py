@@ -51,6 +51,26 @@ def dense_principal(dense):
     return float(lam[lead].real), v, gap
 
 
+def fourier_principal(scenario, eps, K):
+    """Oracle: the rightmost eigenvalue of the continuum operator
+    eps*u'' + b u' + c u of a 1D scenario, from its Fourier-Galerkin matrix
+    on the modes |m| <= K. Entry (m, m') is -eps*m^2 on the diagonal plus
+    b_(m-m')*i*m' + c_(m-m'), with f_k the harmonics of f (0 past |k| = 2K)."""
+    m = np.arange(-K, K + 1)
+    diff = m[:, None] - m[None, :] + 2 * K  # m - m', offset into 0..4K
+
+    def convolution(f):
+        coef = np.zeros(4 * K + 1, dtype=complex)
+        for (k,), a in f.harmonics(1).items():
+            if abs(k) <= 2 * K:
+                coef[k + 2 * K] = a
+        return coef[diff]
+
+    M = (convolution(scenario.b[0]) * (1j * m) + convolution(scenario.c)
+         - eps * np.diag(m.astype(float) ** 2))
+    return float(np.max(np.linalg.eigvals(M).real))
+
+
 def l2_normalize(v, h, dim):
     return v / np.sqrt(np.sum(v * v) * h**dim)
 

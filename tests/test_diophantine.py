@@ -57,6 +57,13 @@ class TestContinuedFraction:
         assert is_irrational(PHI)
         assert is_irrational(math.sqrt(2))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        # float NaN and inf have no integer part; is_irrational says False first
+        with pytest.raises(ValueError, match="finite x, got %r" % x):
+            continued_fraction(x)
+        assert not is_irrational(x)
+
 
 class TestMinDivisor:
     def test_golden_worst_divisors_are_fibonacci(self):

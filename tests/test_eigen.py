@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SINK_3D, bare_scenario, dense_principal, l2_normalize, to_dense
+from conftest import (
+    SINK_3D,
+    bare_scenario,
+    dense_principal,
+    fourier_principal,
+    l2_normalize,
+    to_dense,
+)
 from driftlab import eigen, operator
 from driftlab.eigen import (
     EigenPair,
@@ -341,6 +348,46 @@ class TestShiftedInverse:
         assert pair.certified
         assert pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= pair.lam_hi
         assert pair.iterations == op.applies + op.solves
+
+
+# the 1D cycle problem: constant drift, so a cycle in 2D once a transverse
+# part with constant eigenfunctions is added (stable-cycle, irrational-torus)
+CYCLE_1D = bare_scenario(1, ["1"], "cos(x1)")
+
+# continuum lambda(eps) at eps = 0.2, 0.1, 0.05 from fourier_principal at
+# K = 64; K = 128 agrees to 5e-15
+CONTINUUM = {
+    "stable-point": (0.904987562112, 0.951249219725, 0.975312451187),
+    "cycle-1d": (0.100070526872, 0.050098475193, 0.025014830989),
+}
+CONTINUUM_CASES = {"stable-point": builtin_scenario("stable-point"), "cycle-1d": CYCLE_1D}
+
+
+class TestContinuumOracle:
+    @pytest.mark.parametrize("name", sorted(CONTINUUM))
+    def test_pinned_values(self, name):
+        for eps, want in zip((0.2, 0.1, 0.05), CONTINUUM[name]):
+            assert abs(fourier_principal(CONTINUUM_CASES[name], eps, 64) - want) <= 1e-11
+
+    @pytest.mark.parametrize("name", sorted(CONTINUUM))
+    def test_upwind_error_first_order(self, name):
+        # upwind's grid error halves with h: measured ratios 1.98 to 2.02
+        for eps, want in zip((0.2, 0.1, 0.05), CONTINUUM[name]):
+            err = [principal_eigenpair(assemble(CONTINUUM_CASES[name], Grid(1, n), eps)).lam
+                   - want for n in (64, 128, 256, 512)]
+            ratios = [a / b for a, b in zip(err, err[1:])]
+            assert all(1.9 <= r <= 2.1 for r in ratios), (eps, err)
+
+    @pytest.mark.parametrize("name", ["stable-cycle", "irrational-torus"])
+    def test_2d_cycle_scenarios_are_the_1d_problem(self, name):
+        # the transverse part of the stencil has constant eigenvectors with
+        # eigenvalue 0, so the upwind lam is the 1D cycle problem's; the
+        # benchmark's grid error on these two scenarios is that problem's
+        for eps in (0.2, 0.1, 0.05):
+            lam = principal_eigenpair(assemble(CYCLE_1D, Grid(1, 32), eps)).lam
+            pair = principal_eigenpair(assemble(builtin_scenario(name), Grid(2, 32), eps))
+            assert pair.certified and abs(pair.lam - lam) <= 1e-13
+            assert pair.lam_lo <= lam <= pair.lam_hi
 
 
 class TestPairProperties:

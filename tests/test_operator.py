@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +13,7 @@ from driftlab.expr import TrigExpr, parse_expr
 from driftlab.operator import Grid, SparseOperator, assemble
 from driftlab.scenario import (
     BUILTIN_NAMES,
+    _held,
     builtin_scenario,
     scenario_from_dict,
 )
@@ -205,6 +208,31 @@ def reference_assemble(s, g, eps):
         off[2 * a + 1] = lap + bm / h
         diag -= (bp + bm) / h
     return diag, off
+
+
+class TestHeldHarmonics:
+    @pytest.mark.parametrize("fields", [all_fields(s) for s in FIELD_CASES] + [EXTRA_FIELDS],
+                             ids=[s.name for s in FIELD_CASES] + ["extra"])
+    def test_match_pointwise(self, fields):
+        """Holding some axes at random values and summing the held harmonics
+        at random free coordinates gives __call__ at the full point, to 8
+        rounding errors of sum |a_m|."""
+        rng = np.random.default_rng(19)
+        for f in fields:
+            for dim in range(max(f.nvars, 1), 4):
+                tol = 8 * np.finfo(float).eps * f.abs_sum(dim)
+                for held_axes in itertools.product((False, True), repeat=dim):
+                    fixed = [(a, rng.uniform(0, 2 * math.pi))
+                             for a in range(dim) if held_axes[a]]
+                    held = _held(f, dim, fixed)
+                    assert all(len(m) == dim and not any(m[a] for a, _ in fixed)
+                               for m in held)
+                    free = rng.uniform(0, 2 * math.pi, dim)
+                    point = free.copy()
+                    for a, x in fixed:
+                        point[a] = x
+                    value = sum(c * cmath.exp(1j * np.dot(m, free)) for m, c in held.items())
+                    assert abs(value - f(*point)) <= tol, (str(f), dim, fixed)
 
 
 class TestAssembleStencil:

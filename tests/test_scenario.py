@@ -10,7 +10,7 @@ from conftest import SINK_3D
 from driftlab.diophantine import check_declared_bound, continued_fraction
 from driftlab.errors import DriftlabError
 from driftlab.expr import ExprSyntaxError, TrigExpr
-from driftlab.operator import Grid
+from driftlab.operator import TWO_PI, Grid
 from driftlab.scenario import (
     BUILTIN_NAMES,
     PHI,
@@ -18,6 +18,7 @@ from driftlab.scenario import (
     Scenario,
     ScenarioFormatError,
     Torus,
+    _bound,
     builtin_scenario,
     load_scenario,
     scenario_from_dict,
@@ -61,6 +62,33 @@ REPORT_CHECKS = {
         "0:point L vanishes at order 2", "0:point local Lyapunov decrease",
     ],
 }
+
+
+CYCLE_X2_0 = {"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI}
+
+# 2D scenarios whose declared structure fails only between equally spaced
+# points of the component: a harmonic in 256*x1 (64*x1) vanishes at 256 (64)
+# such points of the circle, so a check on those points alone passes them
+ALIASED = {
+    "alias-cycle": {
+        "name": "alias-cycle", "dim": 2, "c": "cos(x1)", "L": "1 - cos(x2)",
+        "b": ["1", "-sin(x2) + 0.001 - 0.001*cos(256*x1)"], "components": [CYCLE_X2_0],
+    },
+    "alias-torus": {
+        "name": "alias-torus", "dim": 2, "c": "cos(x1)", "L": "0",
+        "b": ["1 + 0.001*sin(64*x1)", repr(PHI)],
+        "components": [{"type": "torus", "k": [1.0, PHI], "C": 0.5, "alpha": 0.5}],
+    },
+    "alias-L": {
+        "name": "alias-L", "dim": 2, "c": "cos(x1)", "b": ["1", "-sin(x2)"],
+        "L": "1 - cos(x2) + 0.001 - 0.001*cos(256*x1)", "components": [CYCLE_X2_0],
+    },
+}
+
+
+# the checks whose residual is a bound from the held harmonics
+HELD_CHECKS = ("field vanishes", "orbit of the field", "constant normal form",
+               "constant flow matches k", "L vanishes at order 2", "L critical point")
 
 
 def torus_scenario(k, C, alpha=0.5):
@@ -130,6 +158,37 @@ class TestValidation:
         report = validate_scenario(torus_scenario(k, 0.5, alpha=400.0))
         check = {c.name: c for c in report.checks}["0:torus small-divisor bound"]
         assert check.passed is ok
+
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_held_residuals_at_rounding(self, name):
+        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        held = [c for c in validate_scenario(s).checks if c.name.endswith(HELD_CHECKS)]
+        assert held and all(c.residual <= 1e-15 for c in held), held
+
+    @pytest.mark.parametrize("name, failed", [
+        ("alias-cycle", {"0:cycle orbit of the field": 0.002,
+                         "0:cycle constant normal form": 0.256}),
+        ("alias-torus", {"0:torus constant flow matches k": 0.001}),
+        ("alias-L", {"0:cycle L vanishes at order 2": 0.256}),
+    ])
+    def test_structure_false_between_samples_fails(self, name, failed):
+        # the held harmonics bound each field on the whole component
+        report = validate_scenario(scenario_from_dict(ALIASED[name]))
+        got = {c.name: c.residual for c in report.failures()}
+        assert got.keys() == failed.keys()
+        for check, want in failed.items():
+            assert got[check] == pytest.approx(want, rel=1e-12)
+
+    def test_bound_holds_at_every_sample(self):
+        # sum |a| of the held harmonics is never below the field's largest
+        # value at points of the component, whatever its level
+        x1 = np.linspace(0.0, TWO_PI, 1001)
+        for level in (0.0, 1.0, math.pi, -2.5, 40.0):
+            s = scenario_from_dict(dict(ALIASED["alias-L"], b=["1", "-sin(x2)*cos(x1)"],
+                                        components=[dict(CYCLE_X2_0, level=level)]))
+            for f in (*s.b, s.c, s.L, *s.grad_L):
+                sampled = np.max(np.abs(f(x1, np.full_like(x1, level))))
+                assert _bound(s.components[0], 2, [f]) >= sampled - 1e-15, (str(f), level)
 
     def test_constant_field_fails_point_check(self):
         s = load_scenario({
@@ -247,6 +306,13 @@ class TestBuiltins:
         with pytest.raises(ScenarioFormatError):
             builtin_scenario("sink-3d")
 
+    @pytest.mark.parametrize("name", [None, 3, ["mixed"], {"a": 1}],
+                             ids=["none", "int", "list", "dict"])
+    def test_non_string_name_rejected(self, name):
+        # a list or dict is not hashable: looking it up would raise TypeError
+        with pytest.raises(ScenarioFormatError, match="unknown builtin scenario"):
+            builtin_scenario(name)
+
     def test_periodicity_of_fields(self):
         rng = np.random.default_rng(5)
         for s in map(builtin_scenario, BUILTIN_NAMES):
@@ -291,6 +357,24 @@ class TestJsonForm:
     def test_load_rejects_other_sources(self, source):
         with pytest.raises(ScenarioFormatError, match="scenario source"):
             load_scenario(source)
+
+    @pytest.mark.parametrize("content", [b'{"name": "x", "dim": 1,', b"\xff\xfe{}"],
+                             ids=["truncated", "not-utf8"])
+    def test_file_not_json_rejected(self, tmp_path, content):
+        p = tmp_path / "scn.json"
+        p.write_bytes(content)
+        with pytest.raises(ScenarioFormatError, match="scn.json is not a JSON file") as info:
+            load_scenario(p)
+        assert isinstance(info.value.__cause__, ValueError)
+        if content.startswith(b"{"):
+            assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_unreadable_path_is_an_os_error(self, tmp_path):
+        # no data was read, so nothing in it is malformed
+        with pytest.raises(FileNotFoundError):
+            load_scenario(tmp_path / "missing.json")
+        with pytest.raises(OSError):
+            load_scenario(str(tmp_path))
 
     def test_missing_field_rejected(self):
         with pytest.raises(ScenarioFormatError):
@@ -412,10 +496,6 @@ class TestComponentGeometry:
     def test_cycle_points_and_distance(self):
         s = builtin_scenario("stable-cycle")
         cyc = s.components[0]
-        x1, x2 = cyc.sample(4)
-        np.testing.assert_allclose(x1, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2],
-                                   atol=1e-15)
-        np.testing.assert_allclose(x2, 0.0, atol=1e-15)
         q = (np.array([1.0, 2.0]), np.array([0.3, 2 * math.pi - 0.2]))
         np.testing.assert_allclose(cyc.distance(q), [0.3, 0.2], atol=1e-12)
 
