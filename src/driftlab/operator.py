@@ -72,6 +72,9 @@ class Grid:
         for v in (self.dim, self.n):
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError("grid dim and n must be integers, got %r" % (v,))
+        # a numpy integer would wrap around in n**dim
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "n", int(self.n))
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
         if self.n < 8:

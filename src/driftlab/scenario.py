@@ -3,15 +3,16 @@ recurrent components, and the structural validation checks.
 
 A scenario carries the drift b (one expression per axis), the potential c,
 and a nonnegative weight function L vanishing quadratically on the attracting
-components. Components arrive in their JSON form. Each is parsed, checked
-against the scenario's dimension and linearized once, when the scenario is
-built: a point gets its jacobian Db(P) and a cycle its transverse matrix B,
-both from the exact derivative fields. Validation re-checks the declared
-structure and reports residuals without mutating anything. A component
-states the coordinates it fixes (_fixed), from which validation bounds a
-field on all of it; its distance(coords) takes one array per axis,
-broadcastable, as Grid.open_mesh returns them, and returns their broadcast
-shape.
+components. Components arrive in their JSON form; each is parsed, checked
+against the scenario's dimension and built once, as one Component model: the
+axes it holds at fixed angles, a constant flow on the rest, and its normal
+matrix, Db on the held axes from the exact derivative fields. A point holds
+every axis, with flow 0; a cycle the axes across it at its level, with flow
+2*pi/period along its axis; a torus none, with flow k. Validation reads every
+kind through those fields, bounds a field on all of a component from its
+held harmonics (_held), and reports residuals without mutating anything. A
+component's distance(coords) takes one array per axis, broadcastable, as
+Grid.open_mesh returns them, and returns their broadcast shape.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,10 +45,12 @@ VALIDATION_TOL = 1e-8
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# the name of the check that b equals a component's flow, by kind
+_FLOW_CHECK = {"point": "field vanishes", "cycle": "orbit of the field",
+              "torus": "constant flow matches k"}
+
 __all__ = [
-    "Point",
-    "Cycle",
-    "Torus",
+    "Component",
     "Scenario",
     "ScenarioFormatError",
     "ValidationCheck",
@@ -68,77 +71,29 @@ def periodic_delta(x):
 
 
 @dataclass(frozen=True, eq=False)
-class Point:
-    """Stationary point with its exact field jacobian Db(location)."""
+class Component:
+    """A declared recurrent set: the axes it holds, plus a constant flow on
+    the rest. spec is its normalized JSON form, spec["type"] its kind; held
+    lists (axis, angle) pairs in axis order, each angle reduced into
+    [0, 2*pi); flow is a dim-vector, 0 on the held axes; normal is Db on the
+    held axes at the base point, the held angles with 0 on the free axes."""
 
-    location: np.ndarray
-    jacobian: np.ndarray
+    spec: dict
+    held: tuple
+    flow: np.ndarray
+    normal: np.ndarray
 
-    kind = "point"
+    @property
+    def kind(self):
+        return self.spec["type"]
 
     @property
     def is_attracting(self):
-        return bool(np.all(np.real(np.linalg.eigvals(self.jacobian)) < 0))
-
-    @property
-    def _fixed(self):
-        return tuple(enumerate(self.location))
+        return bool(np.all(np.real(np.linalg.eigvals(self.normal)) < 0))
 
     def distance(self, coords):
-        return np.sqrt(sum(periodic_delta(x - p) ** 2
-                           for x, p in zip(coords, self.location)))
-
-
-@dataclass(frozen=True, eq=False)
-class Cycle:
-    """Axis-aligned periodic orbit: the running coordinate sweeps the circle
-    at constant speed 2*pi/period, all transverse coordinates sit at `level`."""
-
-    axis: int  # running axis, 0-based
-    level: float
-    period: float
-    dim: int
-    transverse_matrix: np.ndarray  # constant normal-form matrix B
-
-    kind = "cycle"
-
-    @property
-    def speed(self):
-        return TWO_PI / self.period
-
-    @property
-    def transverse_axes(self):
-        return tuple(i for i in range(self.dim) if i != self.axis)
-
-    @property
-    def is_attracting(self):
-        ev = np.linalg.eigvals(self.transverse_matrix)
-        return bool(np.all(np.real(ev) < 0))
-
-    @property
-    def _fixed(self):
-        return tuple((t, self.level) for t in self.transverse_axes)
-
-    def distance(self, coords):
-        d2 = sum(periodic_delta(coords[t] - self.level) ** 2 for t in self.transverse_axes)
+        d2 = sum(periodic_delta(coords[a] - x) ** 2 for a, x in self.held)
         return np.broadcast_to(np.sqrt(d2), np.broadcast_shapes(*map(np.shape, coords)))
-
-
-@dataclass(frozen=True, eq=False)
-class Torus:
-    """Invariant 2-torus of the constant flow (k1, k2), k1/k2 irrational."""
-
-    k: np.ndarray
-    C: float
-    alpha: float
-
-    kind = "torus"
-
-    is_attracting = True
-    _fixed = ()
-
-    def distance(self, coords):
-        return np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
 
 
 class Scenario:
@@ -146,7 +101,7 @@ class Scenario:
 
     `components` are component specs in the JSON form that scenario_from_dict
     reads, such as {"type": "point", "location": [0.0]}; the scenario holds
-    them as Point, Cycle and Torus objects with their linearizations. The
+    each as a Component: its held axes, its flow and its normal matrix. The
     arguments are checked as their JSON values would be: a string name, an
     integer dim, a list of expression strings b, strings c and L, a list of
     components whose numeric fields are finite real numbers. Any other input
@@ -179,8 +134,8 @@ class Scenario:
                 raise ScenarioFormatError(
                     "expression %r uses more variables than dim=%d" % (str(e), self.dim)
                 )
-        # exact derivative fields: _component reads Db for the point jacobians
-        # and cycle normal forms, validate_scenario reads Db and grad L
+        # exact derivative fields: _component reads Db for each normal matrix,
+        # validate_scenario reads Db and grad L
         self.db = tuple(tuple(bi.derivative(j) for j in range(self.dim)) for bi in self.b)
         self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
         # differentiating multiplies coefficients by frequencies, which can
@@ -195,18 +150,18 @@ class Scenario:
         return ["%d:%s" % (i, c.kind) for i, c in enumerate(self.components)]
 
     def _component(self, i, spec):
-        """The i-th component from its JSON form, with its linearization."""
+        """The i-th component from its JSON form: its held axes, flow and normal."""
         if not isinstance(spec, dict) or "type" not in spec:
             raise ScenarioFormatError("component %d has no type" % i)
-        kind = spec["type"]
+        kind, flow = spec["type"], np.zeros(self.dim)
         try:
             if kind == "point":
-                P = np.array([_finite(v) for v in _sequence(spec["location"], "location")])
-                if P.shape != (self.dim,):
+                loc = [_finite(v) for v in _sequence(spec["location"], "location")]
+                if len(loc) != self.dim:
                     raise ScenarioFormatError(
                         "point location needs %d coordinates" % self.dim)
-                return Point(P, self._db_at(P, range(self.dim)))
-            if kind == "cycle":
+                spec, held = {"type": kind, "location": loc}, enumerate(loc)
+            elif kind == "cycle":
                 axis = _integer(spec["axis"]) - 1
                 level = _finite(spec["level"])
                 period = _finite(spec["period"])
@@ -216,26 +171,30 @@ class Scenario:
                     raise ScenarioFormatError("cycle axis out of range")
                 if not period > 0:
                     raise ScenarioFormatError("cycle period must be positive")
-                # B is Db on the transverse axes, at running coordinate 0
-                x0 = [0.0 if j == axis else level for j in range(self.dim)]
-                t_ax = [j for j in range(self.dim) if j != axis]
-                return Cycle(axis, level, period, self.dim, self._db_at(x0, t_ax))
-            if kind == "torus":
+                spec = {"type": kind, "axis": axis + 1, "level": level, "period": period}
+                held = [(j, level) for j in range(self.dim) if j != axis]
+                flow[axis] = TWO_PI / period
+            elif kind == "torus":
                 if self.dim != 2:
                     raise ScenarioFormatError("a torus needs dim 2")
-                k = np.array([_finite(v) for v in _sequence(spec["k"], "k")])
-                if k.shape != (2,):
+                k = [_finite(v) for v in _sequence(spec["k"], "k")]
+                if len(k) != 2:
                     raise ScenarioFormatError("torus k needs two entries")
-                return Torus(k, _finite(spec["C"]), _finite(spec["alpha"]))
+                spec = {"type": kind, "k": k, "C": _finite(spec["C"]),
+                        "alpha": _finite(spec["alpha"])}
+                held, flow[:] = (), k
+            else:
+                raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
         except ScenarioFormatError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
-        raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
-
-    def _db_at(self, x, axes):
-        """The matrix Db(x)[i, j] for i, j in axes."""
-        return np.array([[self.db[i][j](*x) for j in axes] for i in axes])
+        # an angle far off the circle would overflow m.x; spec keeps it as given
+        held = tuple((a, x % TWO_PI) for a, x in held)
+        axes, base = [a for a, _ in held], np.zeros(self.dim)
+        base[axes] = [x for _, x in held]
+        normal = np.array([[self.db[p][q](*base) for q in axes] for p in axes])
+        return Component(spec, held, flow, normal.reshape(len(axes), len(axes)))
 
 
 # -- validation ----------------------------------------------------------------
@@ -269,11 +228,7 @@ class ValidationReport:
             "resolution": self.resolution,
             "tol": self.tol,
             "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed,
-                 "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -282,31 +237,37 @@ def _excess(x):
     return 0.0 if x <= 0.0 else x
 
 
-def _held(f, dim, fixed):
-    """f.harmonics(dim) with each axis a of `fixed`, (a, x) pairs, held at
-    x: a_m times e^{i m_a x} moves to the frequency with m_a = 0."""
-    fixed, held = dict(fixed), {}
+def _held(f, dim, held):
+    """f.harmonics(dim) with each axis a of `held`, (a, x) pairs, held at
+    x: a_m times e^{i m_a x} moves to the frequency with m_a = 0. What is
+    left is f on the component, a function of its free axes; its zero mode
+    is the mean of f there."""
+    held, out = dict(held), {}
     for m, a in f.harmonics(dim).items():
-        key = tuple(0 if i in fixed else k for i, k in enumerate(m))
-        phase = sum(m[i] * x for i, x in fixed.items())
-        held[key] = held.get(key, 0j) + a * cmath.exp(1j * phase)
-    return held
+        key = tuple(0 if i in held else k for i, k in enumerate(m))
+        phase = sum(m[i] * x for i, x in held.items())
+        out[key] = out.get(key, 0j) + a * cmath.exp(1j * phase)
+    return out
 
 
 def _bound(comp, dim, fields):
     """The largest sum |a| over the fields' harmonics held on comp: it bounds
     |field| on all of comp. NaN if any sum is."""
-    return float(np.max([sum(map(abs, _held(f, dim, comp._fixed).values()))
+    return float(np.max([sum(map(abs, _held(f, dim, comp.held).values()))
                          for f in fields]))
 
 
 def validate_scenario(scenario):
     """Numerically re-check the declared structure; failures are non-fatal.
 
-    An equality on a component has the residual _bound(field - value), which
-    bounds the deviation on all of the component. The two inequalities are
-    checked on the validation grid: L >= 0 from on_grid, and b . grad L <= 0
-    near each attracting component from __call__ on the open mesh."""
+    Each component is read one way: b equals its flow on it (the check named
+    in _FLOW_CHECK), its normal is hyperbolic if it holds any axis, Db is its
+    normal on the held rows if it also has free axes, and a torus's flow has
+    an irrational ratio and the declared small-divisor bound. An equality has
+    the residual _bound(field - value), which bounds the deviation on all of
+    the component. The two inequalities are checked on the validation grid:
+    L >= 0 from on_grid, and b . grad L <= 0 near each attracting component
+    from __call__ on the open mesh."""
     tol = VALIDATION_TOL
     dim = scenario.dim
     checks = []
@@ -318,37 +279,29 @@ def validate_scenario(scenario):
         checks.append(ValidationCheck(name, res <= tol, res, detail))
 
     for cid, comp in zip(ids, scenario.components):
-        if comp.kind == "point":
-            residual_check(cid + " field vanishes", _bound(comp, dim, scenario.b),
-                           "bounds max |b| at the point")
-            res = float(np.min(np.abs(np.real(np.linalg.eigvals(comp.jacobian)))))
+        axes = [a for a, _ in comp.held]
+        res = _bound(comp, dim, [bi - v for bi, v in zip(scenario.b, comp.flow)])
+        residual_check("%s %s" % (cid, _FLOW_CHECK[comp.kind]), res,
+                       "bounds max |b - flow| on the component")
+        if axes:
+            res = float(np.min(np.abs(np.real(np.linalg.eigvals(comp.normal)))))
             checks.append(ValidationCheck(
-                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res, "min |Re eig(Db)|"))
-        elif comp.kind == "cycle":
-            res = _bound(comp, dim, [bi - comp.speed if i == comp.axis else bi
-                                     for i, bi in enumerate(scenario.b)])
-            residual_check(cid + " orbit of the field", res,
-                           "bounds max |b - speed*e_axis| on the cycle")
-            res = float(np.min(np.abs(np.real(np.linalg.eigvals(comp.transverse_matrix)))))
-            checks.append(ValidationCheck(
-                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res, "min |Re eig(B)|"))
-            t_ax = comp.transverse_axes
-            want = np.zeros((dim, dim))  # B on the transverse block, 0 on the phase column
-            want[np.ix_(t_ax, t_ax)] = comp.transverse_matrix
+                cid + " hyperbolic", res >= HYPERBOLICITY_TOL, res, "min |Re eig(normal)|"))
+        if 0 < len(axes) < dim:
+            want = np.zeros((dim, dim))  # normal on the held block, 0 in the free columns
+            want[np.ix_(axes, axes)] = comp.normal
             res = _bound(comp, dim, [scenario.db[i][j] - want[i, j]
-                                     for i in t_ax for j in range(dim)])
+                                     for i in axes for j in range(dim)])
             residual_check(cid + " constant normal form", res,
-                           "bounds max |Db - B| on the cycle, B 0 in the phase column")
-        elif comp.kind == "torus":
-            res = _bound(comp, dim, [bi - ki for bi, ki in zip(scenario.b, comp.k)])
-            residual_check(cid + " constant flow matches k", res,
-                           "bounds max |b - k| on the torus")
-            k1, k2 = (float(v) for v in comp.k)
+                           "bounds max |Db - normal| on the held rows of the component")
+        if comp.kind == "torus":
+            k1, k2 = (float(v) for v in comp.flow)
             ok = k2 != 0 and is_irrational(k1 / k2, IRRATIONALITY_DEPTH)
             checks.append(ValidationCheck(
                 cid + " irrational ratio", ok, 0.0 if ok else 1.0,
                 "continued fraction of k1/k2 needs %d terms" % IRRATIONALITY_DEPTH))
-            ok, margin = check_declared_bound(comp.k, 64, comp.C, comp.alpha)
+            spec = comp.spec
+            ok, margin = check_declared_bound(comp.flow, 64, spec["C"], spec["alpha"])
             checks.append(ValidationCheck(
                 cid + " small-divisor bound", ok, _excess(1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
@@ -449,23 +402,15 @@ def scenario_from_dict(data):
 
 
 def scenario_to_dict(scenario):
-    comps = []
-    for comp in scenario.components:
-        if comp.kind == "point":
-            comps.append({"type": "point", "location": [float(v) for v in comp.location]})
-        elif comp.kind == "cycle":
-            comps.append({"type": "cycle", "axis": comp.axis + 1,
-                          "level": comp.level, "period": comp.period})
-        else:
-            comps.append({"type": "torus", "k": [float(v) for v in comp.k],
-                          "C": comp.C, "alpha": comp.alpha})
     return {
         "name": scenario.name,
         "dim": scenario.dim,
         "b": [str(e) for e in scenario.b],
         "c": str(scenario.c),
         "L": str(scenario.L),
-        "components": comps,
+        # a copy down to the lists, so editing it leaves the scenario as it is
+        "components": [{k: list(v) if isinstance(v, list) else v for k, v in comp.spec.items()}
+                       for comp in scenario.components],
     }
 
 

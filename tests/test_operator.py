@@ -619,3 +619,13 @@ class TestMemoryGuard:
         assert assemble(s, Grid(2, 16), 0.1).grid.size == 16**2
         with pytest.raises(GridTooLargeError):
             assemble(s, Grid(2, 17), 0.1)
+
+    @pytest.mark.parametrize("dim, n, size", [(3, np.int64(2**22), 2**66),
+                                              (2, np.int32(2**16), 2**32)],
+                             ids=["int64", "int32"])
+    def test_numpy_integer_size_exact(self, dim, n, size):
+        # n**dim in the numpy type wraps around to 0, under the guard
+        g = Grid(dim, n)
+        assert g.size == size
+        with pytest.raises(GridTooLargeError):
+            assemble(bare_scenario(dim, ["0"] * dim, "0"), g, 0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,10 +15,9 @@ from driftlab.operator import TWO_PI, Grid
 from driftlab.scenario import (
     BUILTIN_NAMES,
     PHI,
-    Cycle,
+    Component,
     Scenario,
     ScenarioFormatError,
-    Torus,
     _bound,
     builtin_scenario,
     load_scenario,
@@ -144,7 +144,8 @@ class TestValidation:
         # the JSON form rejects a NaN alpha, so it is set on a loaded scenario;
         # its margin is NaN
         s = torus_scenario([1.0, PHI], 0.5)
-        s.components = (Torus(k=np.array([1.0, PHI]), C=0.5, alpha=math.nan),)
+        comp = s.components[0]
+        s.components = (dataclasses.replace(comp, spec=dict(comp.spec, alpha=math.nan)),)
         check = {c.name: c for c in validate_scenario(s).checks}["0:torus small-divisor bound"]
         assert not check.passed
         assert math.isnan(check.residual)
@@ -255,35 +256,36 @@ class TestBuiltins:
     def test_stable_cycle_orbit(self):
         s = builtin_scenario("stable-cycle")
         cyc = s.components[0]
-        assert isinstance(cyc, Cycle)
+        assert isinstance(cyc, Component) and cyc.kind == "cycle"
         np.testing.assert_allclose([f(0.7, 0.0) for f in s.b], [1.0, 0.0], atol=1e-15)
-        assert cyc.speed == pytest.approx(1.0)
-        assert cyc.transverse_matrix[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert cyc.flow[0] == pytest.approx(1.0)
+        assert cyc.normal[0, 0] == pytest.approx(-1.0, abs=1e-15)
         unstable = s.components[1]
-        assert unstable.transverse_matrix[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert unstable.normal[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert cyc.is_attracting and not unstable.is_attracting
 
     def test_golden_ratio_continued_fraction(self):
         s = builtin_scenario("irrational-torus")
         torus = s.components[0]
-        assert isinstance(torus, Torus)
-        cf = continued_fraction(torus.k[0] / torus.k[1], max_terms=20)
+        assert isinstance(torus, Component) and torus.kind == "torus"
+        cf = continued_fraction(torus.flow[0] / torus.flow[1], max_terms=20)
         assert cf[0] == 0 and all(a == 1 for a in cf[1:])
 
     def test_stable_point_jacobians(self):
         s = builtin_scenario("stable-point")
         p0, p1 = s.components
-        assert p0.jacobian[0, 0] == pytest.approx(-1.0, abs=1e-15)
-        assert p1.jacobian[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert p0.normal[0, 0] == pytest.approx(-1.0, abs=1e-15)
+        assert p1.normal[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert p0.is_attracting and not p1.is_attracting
 
     def test_mixed_linearizations(self):
         s = builtin_scenario("mixed")
         cyc, pt = s.components
-        assert cyc.transverse_matrix[0, 0] == pytest.approx(-2.0, abs=1e-14)
+        assert cyc.normal[0, 0] == pytest.approx(-2.0, abs=1e-14)
         np.testing.assert_allclose(
-            sorted(np.linalg.eigvals(pt.jacobian).real), [-2.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose([f(*pt.location) for f in s.b], [0.0, 0.0], atol=1e-15)
+            sorted(np.linalg.eigvals(pt.normal).real), [-2.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose([f(*(x for _, x in pt.held)) for f in s.b], [0.0, 0.0],
+                                   atol=1e-15)
 
     def test_linearization_from_the_field(self):
         # Scenario takes component specs: Db(0) = cos(0) = +1 makes the point
@@ -291,7 +293,7 @@ class TestBuiltins:
         s = Scenario("source", 1, ["sin(x1)"], "0", "0",
                      [{"type": "point", "location": [0.0]}])
         p = s.components[0]
-        assert p.jacobian.tolist() == [[1.0]]
+        assert p.normal.tolist() == [[1.0]]
         assert not p.is_attracting
         checks = {c.name: c for c in validate_scenario(s).checks}
         assert checks["0:point hyperbolic"].residual == 1.0
@@ -517,6 +519,82 @@ class TestComponentGeometry:
     def test_component_ids(self):
         s = builtin_scenario("mixed")
         assert s.component_ids() == ["0:cycle", "1:point"]
+
+
+def load(name):
+    return scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+
+
+class TestComponentModel:
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_held_flow_and_normal(self, name):
+        # a point holds every axis, a cycle all but its own, a torus none;
+        # the flow is 0 on the held axes, and normal is Db on them
+        s = load(name)
+        for comp in s.components:
+            axes = [a for a, _ in comp.held]
+            assert len(axes) == {"point": s.dim, "cycle": s.dim - 1, "torus": 0}[comp.kind]
+            assert axes == sorted(axes)
+            assert all(0.0 <= x < TWO_PI for _, x in comp.held)
+            assert comp.flow.shape == (s.dim,)
+            assert all(comp.flow[a] == 0.0 for a in axes)
+            assert comp.normal.shape == (len(axes),) * 2
+
+    def test_flow_of_each_kind(self):
+        cyc = builtin_scenario("stable-cycle").components[0]
+        assert cyc.held == ((1, 0.0),) and cyc.flow.tolist() == [1.0, 0.0]
+        torus = builtin_scenario("irrational-torus").components[0]
+        assert torus.held == () and torus.flow.tolist() == [1.0, PHI]
+        assert torus.normal.shape == (0, 0) and torus.is_attracting
+        pt = builtin_scenario("mixed").components[1]
+        assert pt.held == ((0, 0.0), (1, math.pi)) and pt.flow.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_round_trip_keeps_the_model(self, name):
+        s = load(name)
+        back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(s))))
+        for a, b in zip(s.components, back.components, strict=True):
+            assert a.spec == b.spec and a.held == b.held
+            assert a.flow.tobytes() == b.flow.tobytes()
+            assert a.normal.shape == b.normal.shape
+            assert a.normal.tobytes() == b.normal.tobytes()
+
+    def test_editing_the_dict_leaves_the_scenario(self):
+        s = builtin_scenario("mixed")
+        d = scenario_to_dict(s)
+        d["components"][1]["location"][0] = 1.0
+        d["components"][0]["level"] = 2.0
+        d["components"].append({"type": "point", "location": [0.0, 0.0]})
+        assert scenario_to_dict(s) == scenario_to_dict(builtin_scenario("mixed"))
+
+    def test_far_off_point_reduced_on_the_circle(self):
+        # m*x overflows at x = 1e308; the angle is reduced mod 2*pi when the
+        # component is built, and the spec keeps the value as given (the
+        # suite makes a numpy warning an error)
+        s = Scenario("big", 1, ["sin(2*x1)"], "0", "0",
+                     [{"type": "point", "location": [1e308]}])
+        p = s.components[0]
+        x = 1e308 % TWO_PI
+        assert p.held == ((0, x),) and p.spec["location"] == [1e308]
+        assert p.normal.tolist() == [[2 * math.cos(2 * x)]]
+        assert p.normal[0, 0] == pytest.approx(0.863, abs=1e-3)
+        checks = {c.name: c for c in validate_scenario(s).checks}
+        vanish = checks["0:point field vanishes"]
+        assert not vanish.passed
+        assert vanish.residual == pytest.approx(abs(math.sin(2 * x)), rel=1e-12)
+
+    def test_far_off_cycle_level_reduced_on_the_circle(self):
+        s = scenario_from_dict({"name": "big", "dim": 2, "b": ["1", "-sin(x2)"],
+                                "c": "0", "L": "1 - cos(x2)",
+                                "components": [dict(CYCLE_X2_0, level=-1e308)]})
+        cyc = s.components[0]
+        x = -1e308 % TWO_PI
+        assert cyc.held == ((1, x),) and scenario_to_dict(s)["components"][0]["level"] == -1e308
+        assert cyc.normal.tolist() == [[-math.cos(x)]]
+        checks = {c.name: c for c in validate_scenario(s).checks}
+        orbit = checks["0:cycle orbit of the field"]
+        assert not orbit.passed
+        assert orbit.residual == pytest.approx(abs(math.sin(x)), rel=1e-12)
 
 
 CYCLE_2D = {"name": "x", "dim": 2, "b": ["0", "1"], "c": "0", "L": "0"}
