@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
-                     NotIrreducibleError, ScheduleError)
+from .errors import (CoefficientOverflowError, DriftlabError, GridTooLargeError,
+                     NonMetzlerError, NotIrreducibleError, ScheduleError)
 from .operator import Grid, _CyclicFactor, assemble
 
 __all__ = [
@@ -259,8 +259,10 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     """One certified eigenpair per eps, each solve started from the previous
     entry's eigenfunction.
 
-    Per-entry failures are recorded on the entry, not raised, so one bad
-    epsilon does not abort the rest of the sweep.
+    A typed failure of one entry, a DriftlabError or a ValueError (numpy's
+    LinAlgError is one), is recorded on the entry, not raised, so one bad
+    epsilon does not abort the rest of the sweep. Any other error, such as
+    a scenario field that is not a TrigExpr, propagates.
     """
     _check_budget(tol, max_iter)
     if not isinstance(eps_list, (str, bytes)):
@@ -288,7 +290,7 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
             pair = principal_eigenpair(op, tol=tol, max_iter=max_iter, x0=x0)
             entries.append(SweepEntry(eps=eps, pair=pair))
             x0 = pair.u
-        except Exception as exc:  # per-entry propagation
+        except (DriftlabError, ValueError) as exc:
             entries.append(SweepEntry(eps=eps, error="%s: %s" % (type(exc).__name__, exc)))
     return entries
 

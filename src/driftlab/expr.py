@@ -13,10 +13,8 @@ spectrum (__call__); grid samples contract it one axis at a time
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re
-from typing import NamedTuple
 
 import numpy as np
 
@@ -137,7 +135,7 @@ class TrigExpr:
     def slab_sampler(self, n, dim):
         """The samples of on_grid, prepared once and then filled any range
         of axis-0 slabs at a time (a _SlabSampler)."""
-        return _SlabSampler(_spectrum(self, dim), n, dim)
+        return _SlabSampler(self.harmonics(dim), n, dim)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -206,10 +204,7 @@ class TrigExpr:
     def harmonics(self, dim):
         """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
         expression holds, with the keys m cut to length dim; a_{-m} =
-        conj(a_m) exactly.
-
-        The samplers and abs_sum read them through a cache of their array
-        form, built once per expression and dim."""
+        conj(a_m) exactly. slab_sampler and abs_sum read them on each call."""
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         return {m[:dim]: a for m, a in self._coef.items()}
@@ -217,7 +212,8 @@ class TrigExpr:
     def abs_sum(self, dim):
         """sum |a_m| over harmonics(dim): a bound on |f| at every point; inf
         or nan when the coefficients overflow."""
-        return _spectrum(self, dim).abs_sum
+        # Python float sums give inf or nan on overflow, with no warning
+        return sum(abs(a) for a in self.harmonics(dim).values())
 
     # -- printing ------------------------------------------------------------
 
@@ -253,38 +249,37 @@ def _signed_sum(parts):
     return text
 
 
-class _Spectrum(NamedTuple):
-    """The harmonics in the array form a sampler contracts; read-only."""
-
-    freqs: tuple  # per axis, the frequencies present; m >= 0 on the last
-    coef: np.ndarray  # complex, a_m at the frequencies, doubled where m_L > 0
-    abs_sum: float  # sum |a_m| over all harmonics
-
-
 class _SlabSampler:
     """One field's samples on the (n,)*dim grid, row-major, filled a range
     of axis-0 slabs at a time.
 
-    They are computed from the exact harmonics, grouped by the last axis's
-    frequency m_L. By the Hermitian symmetry, f = Re sum over m_L >= 0 of
-    g(x') e^{i m_L x_L}, with g the coefficients a_m (doubled where m_L > 0)
-    summed over the other axes against their e^{i m x} tables. The sampler
-    is built once per field: that sum is a small complex contraction per
-    leading axis, kept as the real weights [Re g, -Im g], one row per point
-    of the leading axes. A fill is then the real matrix product of the
-    weights of its slabs with the [cos(m_L x); sin(m_L x)] table of the last
-    axis, written into out. On a grid of two or more axes the sampler makes
-    the table of the whole last axis once, and each fill takes one product.
-    In 1D a slab is one point, so each fill makes the tables of its own
-    columns, at most TABLE_COLUMNS points each, one product per table, and
-    no array of grid length is made but out.
+    They are computed from the exact harmonics(dim), read when the sampler
+    is made, grouped by the last axis's frequency m_L. By the Hermitian
+    symmetry, f = Re sum over m_L >= 0 of g(x') e^{i m_L x_L}, with g the
+    coefficients a_m (doubled where m_L > 0) summed over the other axes
+    against their e^{i m x} tables. The sampler is built once per field:
+    that sum is a small complex contraction per leading axis, kept as the
+    real weights [Re g, -Im g], one row per point of the leading axes. A
+    fill is then the real matrix product of the weights of its slabs with
+    the [cos(m_L x); sin(m_L x)] table of the last axis, written into out.
+    On a grid of two or more axes the sampler makes the table of the whole
+    last axis once, and each fill takes one product. In 1D a slab is one
+    point, so each fill makes the tables of its own columns, at most
+    TABLE_COLUMNS points each, one product per table, and no array of grid
+    length is made but out.
     """
 
     __slots__ = ("_n", "_dim", "_last", "_weights", "_table")
 
-    def __init__(self, spec, n, dim):
-        *leading, last = spec.freqs
-        g = spec.coef
+    def __init__(self, harm, n, dim):
+        # g holds the harmonics(dim) `harm` with m_L >= 0, doubled where
+        # m_L > 0, indexed by the frequencies present on each axis
+        half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
+        axes = [sorted({m[i] for m, _ in half}) for i in range(dim)]
+        g = np.zeros(tuple(map(len, axes)), dtype=complex)
+        for m, a in half:
+            g[tuple(f.index(k) for f, k in zip(axes, m))] = a
+        *leading, last = (np.array(f, dtype=float) for f in axes)
         for freqs in leading:
             # the leading frequency axis of g becomes a trailing grid axis:
             # the one product that np.tensordot(g, e, axes=(0, 1)) takes,
@@ -333,22 +328,6 @@ def _table(last, n, lo, hi):
     np.cos(angle, out=table[:last.size])
     np.sin(angle, out=table[last.size:])
     return table
-
-
-@functools.lru_cache(maxsize=256)
-def _spectrum(expr, dim):
-    harm = expr.harmonics(dim)
-    # Python float sums give inf or nan on overflow, with no warning
-    abs_sum = sum(abs(a) for a in harm.values())
-    half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
-    freqs = [sorted({m[i] for m, _ in half}) for i in range(dim)]
-    coef = np.zeros(tuple(len(f) for f in freqs), dtype=complex)
-    for m, a in half:
-        coef[tuple(f.index(k) for f, k in zip(freqs, m))] = a
-    freqs = tuple(np.array(f, dtype=float) for f in freqs)
-    for arr in (*freqs, coef):
-        arr.setflags(write=False)
-    return _Spectrum(freqs, coef, abs_sum)
 
 
 def grid_angles(n, lo=0, hi=None):

@@ -19,7 +19,7 @@ not depend on the blocks. Upwind advection keeps every off-diagonal entry
 nonnegative for any eps and h, which is what gives the discrete operator a
 real simple leading eigenvalue with a positive eigenvector. Every operator,
 assembled or built from arrays, checks that on its off array: min_offdiag
-is the least entry there, read when it is first used.
+is the least entry there, read each time it is asked for.
 
 On a 1D grid the stencil is a periodic tridiagonal matrix, and for sigma
 above every row sum sigma - A is a nonsingular M-matrix. The operator
@@ -29,7 +29,6 @@ pivoting, so that the eigensolver can iterate the step (sigma - A)^-1.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -109,9 +108,10 @@ class SparseOperator:
     the x + h*e_a neighbour for k = 2a and of the x - h*e_a neighbour for
     k = 2a + 1, rows numbered row-major on the (n,)*dim grid.
 
-    min_offdiag, the least entry of off, is what is_metzler and
-    is_irreducible read. It is read from off the first time it is used, for
-    an assembled operator as for one built from arrays, and then kept.
+    diag must be a C-contiguous float64 array of shape (N,) and off one of
+    shape (2*dim, N), N the grid's size. min_offdiag, the least entry of
+    off, is what is_metzler and is_irreducible read. It is read from off
+    each time, so an edit of off in place is seen.
 
     apply walks the grid in the blocks of _slab_blocks, the blocks assemble
     builds it in: whole axis-0 slabs, at most BLOCK_ROWS rows each unless
@@ -124,17 +124,23 @@ class SparseOperator:
     same products summed in the same order for any out, x and blocks. The
     scratch and the views of diag, off and the scratch that each block uses
     are made once, with the operator, so apply is not safe to call from two
-    threads at once on one operator. Like min_offdiag, the views assume
-    diag and off are not replaced.
+    threads at once on one operator. The views see edits of diag and off in
+    place, but assume that the arrays themselves are not replaced.
     """
 
     def __init__(self, grid, diag, off):
+        size = grid.size
+        for name, arr, shape in (("diag", diag, (size,)), ("off", off, (2 * grid.dim, size))):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                    and arr.shape == shape and arr.flags.c_contiguous):
+                raise ValueError("%s must be a C-contiguous float64 array of shape %s"
+                                 % (name, shape))
         self.grid = grid
         self.diag = diag  # (N,)
         self.off = off  # (2*dim, N) neighbour coefficients
         self._plan = _block_plan(grid, diag, off)
 
-    @functools.cached_property
+    @property
     def min_offdiag(self):
         return float(self.off.min())
 

@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import types
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -73,12 +74,13 @@ def periodic_delta(x):
 @dataclass(frozen=True, eq=False)
 class Component:
     """A declared recurrent set: the axes it holds, plus a constant flow on
-    the rest. spec is its normalized JSON form, spec["type"] its kind; held
-    lists (axis, angle) pairs in axis order, each angle reduced into
-    [0, 2*pi); flow is a dim-vector, 0 on the held axes; normal is Db on the
-    held axes at the base point, the held angles with 0 on the free axes."""
+    the rest. spec is its normalized JSON form, read-only with tuples for
+    lists, spec["type"] its kind; held lists (axis, angle) pairs in axis
+    order, each angle reduced into [0, 2*pi); flow is a dim-vector, 0 on the
+    held axes; normal is Db on the held axes at the base point, the held
+    angles with 0 on the free axes. flow and normal are read-only arrays."""
 
-    spec: dict
+    spec: types.MappingProxyType
     held: tuple
     flow: np.ndarray
     normal: np.ndarray
@@ -160,7 +162,7 @@ class Scenario:
                 if len(loc) != self.dim:
                     raise ScenarioFormatError(
                         "point location needs %d coordinates" % self.dim)
-                spec, held = {"type": kind, "location": loc}, enumerate(loc)
+                spec, held = {"type": kind, "location": tuple(loc)}, enumerate(loc)
             elif kind == "cycle":
                 axis = _integer(spec["axis"]) - 1
                 level = _finite(spec["level"])
@@ -180,7 +182,7 @@ class Scenario:
                 k = [_finite(v) for v in _sequence(spec["k"], "k")]
                 if len(k) != 2:
                     raise ScenarioFormatError("torus k needs two entries")
-                spec = {"type": kind, "k": k, "C": _finite(spec["C"]),
+                spec = {"type": kind, "k": tuple(k), "C": _finite(spec["C"]),
                         "alpha": _finite(spec["alpha"])}
                 held, flow[:] = (), k
             else:
@@ -194,7 +196,10 @@ class Scenario:
         axes, base = [a for a, _ in held], np.zeros(self.dim)
         base[axes] = [x for _, x in held]
         normal = np.array([[self.db[p][q](*base) for q in axes] for p in axes])
-        return Component(spec, held, flow, normal.reshape(len(axes), len(axes)))
+        normal = normal.reshape(len(axes), len(axes))
+        for arr in (flow, normal):
+            arr.setflags(write=False)
+        return Component(types.MappingProxyType(spec), held, flow, normal)
 
 
 # -- validation ----------------------------------------------------------------
@@ -408,8 +413,8 @@ def scenario_to_dict(scenario):
         "b": [str(e) for e in scenario.b],
         "c": str(scenario.c),
         "L": str(scenario.L),
-        # a copy down to the lists, so editing it leaves the scenario as it is
-        "components": [{k: list(v) if isinstance(v, list) else v for k, v in comp.spec.items()}
+        # fresh dicts, with the spec's tuples as JSON lists
+        "components": [{k: list(v) if isinstance(v, tuple) else v for k, v in comp.spec.items()}
                        for comp in scenario.components],
     }
 

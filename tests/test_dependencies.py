@@ -33,3 +33,24 @@ def test_declared_dependencies_are_the_imported_ones():
         used |= imported_modules(path)
     third_party = used - set(sys.stdlib_module_names) - {"driftlab"}
     assert third_party and third_party == declared
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it or exported by its __all__
+    unused = []
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        imported, used = {}, set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

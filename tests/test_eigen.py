@@ -87,6 +87,15 @@ class TestPreconditions:
         with pytest.raises(NonMetzlerError):
             principal_eigenpair(op)
 
+    def test_edit_of_off_in_place_is_seen(self):
+        # min_offdiag is read from off each time, not kept from a first read
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.1)
+        assert op.is_metzler
+        op.off[0, 3] = -5.0
+        assert not op.is_metzler
+        with pytest.raises(NonMetzlerError, match="-5 < 0"):
+            principal_eigenpair(op)
+
     def test_non_metzler_message_reports_min_offdiag(self):
         s = builtin_scenario("stable-point")
         op = with_negative_coupling(assemble(s, Grid(1, 16), 0.1))
@@ -486,8 +495,11 @@ class TestSweep:
         assert assembled == []
 
     def test_schedule_of_real_numbers_accepted(self, monkeypatch):
-        # each entry records the failed solve of the stub operator
-        monkeypatch.setattr(eigen, "assemble", lambda *args: None)
+        # each entry records the typed failure of the stub assembly
+        def refuse(*args):
+            raise GridTooLargeError("stub")
+
+        monkeypatch.setattr(eigen, "assemble", refuse)
         for schedule, want in ((np.array([0.2, 0.1]), [0.2, 0.1]),
                                ([Fraction(1, 5), np.float64(0.1)], [0.2, 0.1]),
                                ((np.int64(2), 1), [2.0, 1.0]),
@@ -525,6 +537,14 @@ class TestSweep:
         assert not entries[1].ok and entries[1].pair is None
         assert "NonMetzler" in entries[1].error
         assert entries[2].ok
+
+    def test_untyped_error_propagates(self):
+        # a field that is not a TrigExpr is a bug in the caller, not a
+        # failure of one eps: it is raised, not recorded on every entry
+        s = builtin_scenario("stable-point")
+        s.c = "cos(x1)"
+        with pytest.raises(AttributeError, match="abs_sum"):
+            eigen_sweep(s, 16, [0.2, 0.1, 0.05])
 
 
 def certified_entries(data):

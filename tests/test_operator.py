@@ -285,6 +285,24 @@ class TestAssembleStencil:
         assert again.min_offdiag == op.min_offdiag
         assert again.is_metzler
 
+    @pytest.mark.parametrize("name", ["mixed", "stable-point"])
+    @pytest.mark.parametrize("case", ["long-diag", "short-off", "float32-diag", "2d-diag",
+                                      "fortran-off"])
+    def test_operator_from_arrays_checks_them(self, name, case):
+        # a long diag was taken and its extra entry ignored by apply (and the
+        # 1D factor failed on it with an untyped broadcast error)
+        s = builtin_scenario(name)
+        op = assemble(s, Grid(s.dim, 16), 0.1)
+        diag, off = {
+            "long-diag": (np.append(op.diag, 1e6), op.off),
+            "short-off": (op.diag, op.off[:, :-1].copy()),
+            "float32-diag": (op.diag.astype(np.float32), op.off),
+            "2d-diag": (op.diag.reshape(16, -1), op.off),
+            "fortran-off": (op.diag, np.asfortranarray(op.off)),
+        }[case]
+        with pytest.raises(ValueError, match="diag" if "diag" in case else "off"):
+            SparseOperator(op.grid, diag, off)
+
     @pytest.mark.parametrize("s, n", [
         (builtin_scenario("stable-point"), 2**18),
         (builtin_scenario("mixed"), 512),

@@ -14,6 +14,7 @@ from driftlab.expr import ExprSyntaxError, TrigExpr
 from driftlab.operator import TWO_PI, Grid
 from driftlab.scenario import (
     BUILTIN_NAMES,
+    BUILTINS,
     PHI,
     Component,
     Scenario,
@@ -567,6 +568,25 @@ class TestComponentModel:
         d["components"].append({"type": "point", "location": [0.0, 0.0]})
         assert scenario_to_dict(s) == scenario_to_dict(builtin_scenario("mixed"))
 
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_components_are_read_only(self, name):
+        # a writable normal could turn a repeller into an attractor, and a
+        # writable spec would change what scenario_to_dict writes
+        s = load(name)
+        for comp in s.components:
+            with pytest.raises(ValueError, match="read-only"):
+                comp.normal[...] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                comp.flow[0] = 1.0
+            with pytest.raises(TypeError):
+                comp.spec["type"] = "point"
+            for v in comp.spec.values():
+                if isinstance(v, tuple):
+                    with pytest.raises(TypeError):
+                        v[0] = 2.0
+        source = SINK_3D if name == "sink-3d" else BUILTINS[name]
+        assert scenario_to_dict(s)["components"] == source["components"]
+
     def test_far_off_point_reduced_on_the_circle(self):
         # m*x overflows at x = 1e308; the angle is reduced mod 2*pi when the
         # component is built, and the spec keeps the value as given (the
@@ -575,7 +595,7 @@ class TestComponentModel:
                      [{"type": "point", "location": [1e308]}])
         p = s.components[0]
         x = 1e308 % TWO_PI
-        assert p.held == ((0, x),) and p.spec["location"] == [1e308]
+        assert p.held == ((0, x),) and p.spec["location"] == (1e308,)
         assert p.normal.tolist() == [[2 * math.cos(2 * x)]]
         assert p.normal[0, 0] == pytest.approx(0.863, abs=1e-3)
         checks = {c.name: c for c in validate_scenario(s).checks}
