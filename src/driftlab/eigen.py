@@ -10,14 +10,13 @@ apply gives the residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i].
 For a Metzler, irreducible A and any u > 0 that bracket contains the Perron
 eigenvalue, so its width bounds the error of lam.
 
-On a 2D or 3D grid step is A. On a 1D grid it is the shifted inverse
-v -> (sigma - A)^-1 v, one solve with the operator's cyclic-reduction factor
-of sigma - A, for sigma just above A's largest row sum, which bounds the
-Perron value lam0. Its eigenvalues are 1/(sigma - lam), and lam0's is the
-rightmost, far ahead of the rest, so one cycle usually certifies; a Ritz
-value theta maps back to lam = sigma - 1/theta. A run whose bracket stalls
-restarts once, in the same loop, with step the diagonal gauge v ->
-step(u*v)/u of its best u, whose Perron vector is near 1 everywhere.
+The operator gives the step, and value, the map from a Ritz value of step
+to an eigenvalue of A, by SparseOperator._perron_step: it checks that the
+bracket holds for A, guards the memory of the basis and of the step, and
+picks A itself or, on a 1D grid, a shifted inverse whose Perron value is far
+ahead of the rest. The solver reads the operator only through that, apply
+and grid. A run whose bracket stalls restarts once, in the same loop, with
+step the gauge v -> step(u*v)/u of its best u, whose Perron vector is ~1.
 """
 from __future__ import annotations
 
@@ -27,9 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CoefficientOverflowError, DriftlabError, GridTooLargeError,
-                     NonMetzlerError, NotIrreducibleError, ScheduleError)
-from .operator import Grid, _CyclicFactor, assemble
+from .errors import DriftlabError, ScheduleError
+from .operator import Grid, assemble
 
 __all__ = [
     "EigenPair",
@@ -48,9 +46,6 @@ KRYLOV_DIM = 30
 KEEP = 10
 # give up, uncertified, after this many cycles without a narrower bracket
 STALL_CYCLES = 10
-# refuse to allocate a Krylov basis of (KRYLOV_DIM + 1) float64 rows, together
-# with a 1D step's factor, larger than this
-BASIS_MAX_BYTES = 2**30
 
 
 @dataclass
@@ -67,13 +62,14 @@ class EigenPair:
 def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None):
     """Leading eigenvalue and positive eigenfunction of a Metzler operator.
 
-    Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket
-    [lam_lo, lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf.
-    Arnoldi iterates a map, the step: op.apply on a 2D or 3D grid, and on a
-    1D grid a solve with (sigma - A), sigma just above A's largest row sum,
-    factored once per call. `iterations` counts the steps and the one
-    op.apply per _certify, at most max_iter of them. A run ends when they
-    run out, or when STALL_CYCLES cycles in a row improve neither the
+    Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket [lam_lo,
+    lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf. Arnoldi
+    iterates the map op._perron_step gives, the step: op.apply on a 2D or 3D
+    grid, and on a 1D grid a solve with (sigma - A), sigma just above A's
+    largest row sum, factored once per call. Its checks of op and its memory
+    guard raise before x0 is checked. `iterations` counts the steps and the
+    one op.apply per _certify, at most max_iter of them. A run ends when
+    they run out, or when STALL_CYCLES cycles in a row improve neither the
     bracket width nor, at equal width, the residual. A Ritz vector is
     accurate in norm, not entry by entry, so where u spans many decades a
     stalled bracket is rounding in u's small entries. The first stall at a
@@ -84,23 +80,9 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     is returned, flagged uncertified unless its bracket meets tol.
     """
     _check_budget(tol, max_iter)
-    for entries in (op.diag, op.off):
-        if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
-            raise CoefficientOverflowError("operator entries must be finite")
-    if not op.is_metzler:
-        raise NonMetzlerError(
-            "off-diagonal entries reach %g < 0" % op.min_offdiag)
-    if not op.is_irreducible:
-        raise NotIrreducibleError(
-            "zero neighbor couplings: Perron structure not certified")
     size = op.grid.size
     m = KRYLOV_DIM
-    inverse = op.grid.dim == 1
-    floats = (m + 1) * size + (_CyclicFactor.floats(size) if inverse else 0)
-    if floats * 8 > BASIS_MAX_BYTES:
-        raise GridTooLargeError(
-            "Krylov basis of %d x %d floats and its step's factor exceed %d bytes"
-            % (m + 1, size, BASIS_MAX_BYTES))
+    base, value = op._perron_step((m + 1) * size)  # value: Ritz value -> lam
     if np.iscomplexobj(x0):
         raise ValueError("x0 must be real")
     x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
@@ -116,17 +98,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     V[0] = x / math.sqrt(np.sum(x * x))
     H = np.zeros((m + 1, m))  # step(V[:j].T) = V[:j+1].T H[:j+1, :j]
-    if inverse:
-        # the Perron value of a Metzler A is at most its largest row sum; the
-        # margin is far above the rounding of the sums and of the factor's
-        # eliminations, a few ulps of the largest absolute row sum
-        couplings = op.off.sum(0)
-        hi = float(np.max(op.diag + couplings))  # the largest row sum
-        scale = float(np.max(np.abs(op.diag) + couplings))
-        sigma = hi + max(2.0**-20 * max(1.0, abs(hi)), 2.0**-40 * scale)
-        step = base = op._shifted_solver(sigma)
-    else:
-        step = base = op.apply
+    step = base
     gauge = 1.0  # D: a Ritz vector of step times D is one of A
     j = 0  # basis vectors with their column of H
     calls = 0
@@ -156,7 +128,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         u = Y[:, order[0]].real @ V[:j]
         u *= gauge
         ritz = float(theta[order[0]].real)
-        pair = _certify(op, u, sigma - 1.0 / ritz if inverse else ritz, tol)
+        pair = _certify(op, u, value(ritz), tol)
         calls += 1
         if best is None or _rank(pair) < _rank(best):
             best, stale = pair, 0

@@ -281,14 +281,9 @@ class _SlabSampler:
             g[tuple(f.index(k) for f, k in zip(axes, m))] = a
         *leading, last = (np.array(f, dtype=float) for f in axes)
         for freqs in leading:
-            # the leading frequency axis of g becomes a trailing grid axis:
-            # the one product that np.tensordot(g, e, axes=(0, 1)) takes,
-            # without its Python overhead
             angle = np.multiply.outer(grid_angles(n), freqs)
             e = np.cos(angle) + 1j * np.sin(angle)
-            rest = g.shape[1:]
-            g = g.transpose(*range(1, g.ndim), 0).reshape(math.prod(rest), freqs.size)
-            g = np.dot(g, e.T).reshape(rest + (n,))
+            g = np.tensordot(g, e, axes=(0, 1))  # a frequency axis becomes a grid axis
         g = g.reshape(last.size, n ** (dim - 1))
         self._n, self._dim, self._last = n, dim, last
         self._weights = np.concatenate([g.real, -g.imag]).T

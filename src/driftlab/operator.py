@@ -25,6 +25,8 @@ On a 1D grid the stencil is a periodic tridiagonal matrix, and for sigma
 above every row sum sigma - A is a nonsingular M-matrix. The operator
 factors it by odd-even cyclic reduction (Hockney, J. ACM 12, 1965), with no
 pivoting, so that the eigensolver can iterate the step (sigma - A)^-1.
+_perron_step hands the solver its step (apply on a 2D or 3D grid), after
+the checks that make the solver's bracket valid and the guard on its memory.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientOverflowError, GridTooLargeError
+from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
+                     NotIrreducibleError)
 from .expr import grid_angles
 
 TWO_PI = 2.0 * math.pi
@@ -58,6 +61,10 @@ BLOCK_ROWS = 2**15
 # to 64 rows against 107 us down to 4, and the factor 0.3 ms against 1.0 ms
 # down to 128
 DIRECT_ROWS = 64
+
+# _perron_step refuses a Krylov basis that, together with a 1D step's
+# factor, takes more bytes than this
+BASIS_MAX_BYTES = 2**30
 
 __all__ = ["Grid", "SparseOperator", "assemble"]
 
@@ -110,8 +117,8 @@ class SparseOperator:
 
     diag must be a C-contiguous float64 array of shape (N,) and off one of
     shape (2*dim, N), N the grid's size. min_offdiag, the least entry of
-    off, is what is_metzler and is_irreducible read. It is read from off
-    each time, so an edit of off in place is seen.
+    off, is what is_metzler and _perron_step read. It is read from off each
+    time, so an edit of off in place is seen.
 
     apply walks the grid in the blocks of _slab_blocks, the blocks assemble
     builds it in: whole axis-0 slabs, at most BLOCK_ROWS rows each unless
@@ -148,12 +155,6 @@ class SparseOperator:
     def is_metzler(self):
         return self.min_offdiag >= 0.0
 
-    @property
-    def is_irreducible(self):
-        # strictly positive couplings to all 2*dim periodic neighbors make the
-        # stencil graph strongly connected; weaker cases are not certified
-        return self.min_offdiag > 0.0
-
     def apply(self, x, out=None):
         size = self.grid.size
         x = np.asarray(x)
@@ -182,11 +183,40 @@ class SparseOperator:
                 block += term
         return out
 
-    def _shifted_solver(self, sigma):
-        """solve(v, out), which writes the x with (sigma - A) x = v into out
-        and returns out, for this operator A on a 1D grid and sigma above
-        every row sum of A. The factor is made once, here."""
-        return _CyclicFactor(self.diag, self.off, sigma).solve
+    def _perron_step(self, basis):
+        """(step, value): the map step(v, out) that an eigensolver with a
+        Krylov basis of `basis` floats iterates, and value, from a Ritz value
+        of step to A's. It first raises the typed error of an entry that is
+        not finite, a negative coupling or a zero one, where the
+        Collatz-Wielandt bracket would not hold, then GridTooLargeError past
+        BASIS_MAX_BYTES. step is apply on a 2D or 3D grid, and on a 1D grid
+        a solve with sigma - A, whose Ritz value theta is 1/(sigma - lam)."""
+        for entries in (self.diag, self.off):
+            if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
+                raise CoefficientOverflowError("operator entries must be finite")
+        least = self.min_offdiag
+        if least < 0.0:
+            raise NonMetzlerError("off-diagonal entries reach %g < 0" % least)
+        # strictly positive couplings to all 2*dim periodic neighbors make the
+        # stencil graph strongly connected; weaker cases are not certified
+        if least == 0.0:
+            raise NotIrreducibleError(
+                "zero neighbor couplings: Perron structure not certified")
+        factor = _CyclicFactor.floats(self.grid.size) if self.grid.dim == 1 else 0
+        if (basis + factor) * 8 > BASIS_MAX_BYTES:
+            raise GridTooLargeError(
+                "Krylov basis of %d floats and its step's factor exceed %d bytes"
+                % (basis, BASIS_MAX_BYTES))
+        if self.grid.dim > 1:
+            return self.apply, lambda theta: theta
+        # the Perron value of a Metzler A is at most its largest row sum; the
+        # margin is far above the rounding of the sums and of the factor's
+        # eliminations, a few ulps of the largest absolute row sum
+        couplings = self.off.sum(0)
+        hi = float(np.max(self.diag + couplings))  # the largest row sum
+        scale = float(np.max(np.abs(self.diag) + couplings))
+        sigma = hi + max(2.0**-20 * max(1.0, abs(hi)), 2.0**-40 * scale)
+        return _CyclicFactor(self.diag, self.off, sigma).solve, lambda theta: sigma - 1.0 / theta
 
 
 def _line_aligned_empty(size):

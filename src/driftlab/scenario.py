@@ -106,47 +106,53 @@ class Scenario:
     each as a Component: its held axes, its flow and its normal matrix. The
     arguments are checked as their JSON values would be: a string name, an
     integer dim, a list of expression strings b, strings c and L, a list of
-    components whose numeric fields are finite real numbers. Any other input
-    raises ScenarioFormatError.
+    components with the keys of their type whose numeric fields are finite
+    real numbers. Any other input raises ScenarioFormatError. No attribute
+    can be assigned once the scenario is built.
     """
 
     def __init__(self, name, dim, b, c, L, components=()):
         try:
             if not isinstance(name, str):
                 raise ValueError("name %r is not a string" % (name,))
-            self.dim = _integer(dim)
+            dim = _integer(dim)
             b = _sequence(b, "b")
             if not all(isinstance(e, str) for e in (*b, c, L)):
                 raise ValueError("b must be a list of expression strings, c and L strings")
             components = _sequence(components, "components")
         except ValueError as exc:
             raise ScenarioFormatError("malformed scenario field: %s" % exc)
-        self.name = name
-        if self.dim not in (1, 2, 3):
+        if dim not in (1, 2, 3):
             raise ScenarioFormatError("dim must be 1, 2 or 3")
-        self.b = tuple(parse_expr(e) for e in b)
-        if len(self.b) != self.dim:
+        b = tuple(parse_expr(e) for e in b)
+        if len(b) != dim:
             raise ScenarioFormatError(
-                "drift has %d components, expected %d" % (len(self.b), self.dim)
+                "drift has %d components, expected %d" % (len(b), dim)
             )
-        self.c = parse_expr(c)
-        self.L = parse_expr(L)
-        for e in (*self.b, self.c, self.L):
-            if e.nvars > self.dim:
+        c, L = parse_expr(c), parse_expr(L)
+        for e in (*b, c, L):
+            if e.nvars > dim:
                 raise ScenarioFormatError(
-                    "expression %r uses more variables than dim=%d" % (str(e), self.dim)
+                    "expression %r uses more variables than dim=%d" % (str(e), dim)
                 )
         # exact derivative fields: _component reads Db for each normal matrix,
         # validate_scenario reads Db and grad L
-        self.db = tuple(tuple(bi.derivative(j) for j in range(self.dim)) for bi in self.b)
-        self.grad_L = tuple(self.L.derivative(i) for i in range(self.dim))
+        db = tuple(tuple(bi.derivative(j) for j in range(dim)) for bi in b)
+        grad_L = tuple(L.derivative(i) for i in range(dim))
         # differentiating multiplies coefficients by frequencies, which can
         # overflow a coefficient that parsed as finite
-        for e in (*self.grad_L, *(f for row in self.db for f in row)):
+        for e in (*grad_L, *(f for row in db for f in row)):
             if not e.in_range():
                 raise ScenarioFormatError(
                     "a derivative of b or L has a coefficient out of range: %r" % str(e))
-        self.components = tuple(self._component(i, spec) for i, spec in enumerate(components))
+        fields = dict(name=name, dim=dim, b=b, c=c, L=L, db=db, grad_L=grad_L)
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "components", tuple(
+            self._component(i, spec) for i, spec in enumerate(components)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scenario is immutable")
 
     def component_ids(self):
         return ["%d:%s" % (i, c.kind) for i, c in enumerate(self.components)]
@@ -155,7 +161,7 @@ class Scenario:
         """The i-th component from its JSON form: its held axes, flow and normal."""
         if not isinstance(spec, dict) or "type" not in spec:
             raise ScenarioFormatError("component %d has no type" % i)
-        kind, flow = spec["type"], np.zeros(self.dim)
+        kind, flow, given = spec["type"], np.zeros(self.dim), set(spec)
         try:
             if kind == "point":
                 loc = [_finite(v) for v in _sequence(spec["location"], "location")]
@@ -191,6 +197,10 @@ class Scenario:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
+        unknown = given - set(spec)  # spec now holds exactly the keys of its kind
+        if unknown:
+            raise ScenarioFormatError("component %d (%s) has unknown keys: %s"
+                                      % (i, kind, ", ".join(sorted(map(repr, unknown)))))
         # an angle far off the circle would overflow m.x; spec keeps it as given
         held = tuple((a, x % TWO_PI) for a, x in held)
         axes, base = [a for a, _ in held], np.zeros(self.dim)
@@ -397,12 +407,19 @@ def _sequence(value, field):
 
 
 def scenario_from_dict(data):
+    """The Scenario of a JSON object with the keys name, dim, b, c, L and
+    optionally components; any other key raises ScenarioFormatError."""
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
+    keys = ("name", "dim", "b", "c", "L")
     try:
-        fields = [data[key] for key in ("name", "dim", "b", "c", "L")]
+        fields = [data[key] for key in keys]
     except KeyError as exc:
         raise ScenarioFormatError("missing scenario field: %s" % exc)
+    unknown = set(data) - {*keys, "components"}
+    if unknown:
+        raise ScenarioFormatError("unknown scenario fields: %s"
+                                  % ", ".join(sorted(map(repr, unknown))))
     return Scenario(*fields, data.get("components", []))
 
 

@@ -54,3 +54,20 @@ def test_no_unused_imports():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_solver_reads_the_stencil_only_through_the_operator():
+    # SparseOperator._perron_step makes the Perron checks, the memory guard
+    # and the step; eigen.py reads no stencil array or fact of its own
+    src = ROOT / "src" / "driftlab"
+    tree = ast.parse((src / "eigen.py").read_text())
+    stencil = {"diag", "off", "min_offdiag", "is_metzler", "_shifted_solver", "_CyclicFactor"}
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    imports = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names}
+    assert sorted(reads & stencil) == [] and "_CyclicFactor" not in imports
+    defined = ["%s:%d" % (path.name, node.lineno)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible"]
+    assert defined == []

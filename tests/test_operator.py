@@ -280,7 +280,7 @@ class TestAssembleStencil:
         off[3, 100] = -1e-300
         built = SparseOperator(op.grid, op.diag, off)
         assert built.min_offdiag == -1e-300
-        assert not built.is_metzler and not built.is_irreducible
+        assert not built.is_metzler and not built.min_offdiag > 0.0
         again = SparseOperator(op.grid, op.diag, op.off)
         assert again.min_offdiag == op.min_offdiag
         assert again.is_metzler
@@ -511,7 +511,7 @@ class TestShiftedSolver:
         sigma = shifted_above_row_sums(op, 0.01)
         v = np.random.default_rng(n).standard_normal(n)
         out = np.empty(n)
-        assert op._shifted_solver(sigma)(v, out=out) is out
+        assert operator._CyclicFactor(op.diag, op.off, sigma).solve(v, out=out) is out
         want = np.linalg.solve(sigma * np.eye(n) - to_dense(op), v)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
         # backward error: a few units of rounding of |sigma - A| |x|
@@ -528,7 +528,7 @@ class TestShiftedSolver:
         sigma = shifted_above_row_sums(op, 0.01)
         tracemalloc.start()
         try:
-            solve = op._shifted_solver(sigma)
+            solve = operator._CyclicFactor(op.diag, op.off, sigma).solve
             traces = tracemalloc.take_snapshot().traces
         finally:
             tracemalloc.stop()
@@ -546,7 +546,7 @@ class TestMetzler:
                 for n in (16, 32, 64, 128):
                     op = assemble(s, Grid(s.dim, n), eps)
                     assert op.min_offdiag >= 0.0, (s.name, eps, n)
-                    assert op.is_irreducible
+                    assert op.min_offdiag > 0.0
 
 
 class TestConsistencyOrder:

@@ -146,7 +146,8 @@ class TestValidation:
         # its margin is NaN
         s = torus_scenario([1.0, PHI], 0.5)
         comp = s.components[0]
-        s.components = (dataclasses.replace(comp, spec=dict(comp.spec, alpha=math.nan)),)
+        object.__setattr__(s, "components",  # past the read-only guard
+                           (dataclasses.replace(comp, spec=dict(comp.spec, alpha=math.nan)),))
         check = {c.name: c for c in validate_scenario(s).checks}["0:torus small-divisor bound"]
         assert not check.passed
         assert math.isnan(check.residual)
@@ -473,6 +474,27 @@ class TestJsonForm:
         with pytest.raises(ScenarioFormatError):
             Scenario(*args)
 
+    @pytest.mark.parametrize("data, match", [
+        ({**BUILTINS["stable-point"], "name": "x", "component": []}, "'component'"),
+        ({**BUILTINS["stable-point"], "name": "x", "components": [
+            {"type": "point", "location": [0.0], "jacobian": [[5.0]]}]}, "'jacobian'"),
+        ({**BUILTINS["stable-cycle"], "name": "x", "components": [
+            dict(CYCLE_X2_0, location=[0.0, 0.0])]}, "'location'"),
+        ({**BUILTINS["irrational-torus"], "name": "x", "components": [
+            {"type": "torus", "k": [1.0, PHI], "C": 0.5, "alpha": 0.5, "axis": 1}]}, "'axis'"),
+    ], ids=["top-level", "point", "cycle", "torus"])
+    def test_unknown_keys_rejected(self, data, match):
+        # a key that the format does not know used to be dropped: with
+        # "component" for "components" the scenario loaded with none, and
+        # its validation passed
+        with pytest.raises(ScenarioFormatError, match=match):
+            scenario_from_dict(data)
+
+    def test_constructor_rejects_unknown_component_keys(self):
+        with pytest.raises(ScenarioFormatError, match="'jacobian'"):
+            Scenario("x", 1, ["-sin(x1)"], "0", "0",
+                     [{"type": "point", "location": [0.0], "jacobian": [[5.0]]}])
+
     def test_cycle_axis_range(self):
         with pytest.raises(ScenarioFormatError):
             scenario_from_dict({
@@ -586,6 +608,17 @@ class TestComponentModel:
                         v[0] = 2.0
         source = SINK_3D if name == "sink-3d" else BUILTINS[name]
         assert scenario_to_dict(s)["components"] == source["components"]
+
+    @pytest.mark.parametrize("name", sorted(REPORT_CHECKS))
+    def test_scenario_is_read_only(self, name):
+        # an assigned field would leave db, grad_L and the components out of
+        # step with the fields they were made from
+        s = load(name)
+        before = scenario_to_dict(s)
+        for field in ("name", "dim", "b", "c", "L", "db", "grad_L", "components"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(s, field, getattr(builtin_scenario("stable-point"), field))
+        assert scenario_to_dict(s) == before
 
     def test_far_off_point_reduced_on_the_circle(self):
         # m*x overflows at x = 1e308; the angle is reduced mod 2*pi when the
