@@ -4,19 +4,18 @@ Arnoldi, certified by a Collatz-Wielandt bracket.
 One Arnoldi loop grows a basis of KRYLOV_DIM vectors by one map, step, and
 cuts it back between cycles to the span of the KEEP rightmost Ritz vectors,
 in place (Stewart's Krylov-Schur restart, with an orthonormalized real basis
-of Ritz vectors in place of the Schur vectors). After each cycle _certify
-checks the rightmost Ritz pair (lam, u) against the operator A itself: one
-apply gives the residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i].
-For a Metzler, irreducible A and any u > 0 that bracket contains the Perron
+of Ritz vectors in place of the Schur vectors). After each cycle one apply
+of A at the rightmost Ritz vector u gives lam (A's Rayleigh quotient), the
+residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i] (_certify). For
+a Metzler, irreducible A and any u > 0 that bracket contains the Perron
 eigenvalue, so its width bounds the error of lam.
 
-The operator gives the step, and value, the map from a Ritz value of step
-to an eigenvalue of A, by SparseOperator._perron_step: it checks that the
-bracket holds for A, guards the memory of the basis and of the step, and
-picks A itself or, on a 1D grid, a shifted inverse whose Perron value is far
-ahead of the rest. The solver reads the operator only through that, apply
-and grid. A run whose bracket stalls restarts once, in the same loop, with
-step the gauge v -> step(u*v)/u of its best u, whose Perron vector is ~1.
+The step is any map with A's Perron vector as its dominant eigenvector;
+SparseOperator._perron_step checks that the bracket holds for A, guards the
+memory, and gives A itself or, on a 1D grid, a shifted inverse with a wide
+gap. The solver reads the operator only through that, apply and grid. A run
+whose bracket stalls restarts once, in the same loop, with step the gauge
+v -> step(u*v)/u of its best u, whose Perron vector is ~1.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ STALL_CYCLES = 10
 
 @dataclass
 class EigenPair:
-    lam: float
+    lam: float  # (u @ Au)/(u @ u): the u^2-weighted mean of the ratios (Au)_i/u_i
     u: np.ndarray  # positive when certified, sum(u^2)*h^dim = 1
     residual: float  # sup|A u - lam u| / sup|u|
     iterations: int  # steps (1D: solves, else applies) plus certifying applies
@@ -64,25 +63,26 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
     Certified means u > 0, lam_lo <= lam <= lam_hi, and the bracket [lam_lo,
     lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf. Arnoldi
-    iterates the map op._perron_step gives, the step: op.apply on a 2D or 3D
-    grid, and on a 1D grid a solve with (sigma - A), sigma just above A's
-    largest row sum, factored once per call. Its checks of op and its memory
-    guard raise before x0 is checked. `iterations` counts the steps and the
-    one op.apply per _certify, at most max_iter of them. A run ends when
-    they run out, or when STALL_CYCLES cycles in a row improve neither the
-    bracket width nor, at equal width, the residual. A Ritz vector is
-    accurate in norm, not entry by entry, so where u spans many decades a
-    stalled bracket is rounding in u's small entries. The first stall at a
-    positive u therefore restarts the run, once, with step the gauge D^-1
-    step D, D = diag(u), applied as step(u*v)/u: its Perron vector is near 1
-    in every entry, and its Ritz vectors times D are certified with A. The
-    iterate with the narrowest bracket (without one, the smallest residual)
-    is returned, flagged uncertified unless its bracket meets tol.
+    iterates the step op._perron_step gives, any map with A's Perron vector:
+    op.apply on a 2D or 3D grid, on a 1D grid a solve with (sigma - A).
+    lam, the residual and the bracket come from one apply of A at u. The
+    step's checks of op and its memory guard raise before x0 is checked.
+    `iterations` counts the steps and the one op.apply per _certify, at most
+    max_iter of them. A run ends when they run out, or when STALL_CYCLES
+    cycles in a row improve neither the bracket width nor, at equal width,
+    the residual. A Ritz vector is accurate in norm, not entry by entry, so
+    where u spans many decades a stalled bracket is rounding in u's small
+    entries. The first stall at a positive u therefore restarts the run,
+    once, with step the gauge D^-1 step D, D = diag(u), applied as
+    step(u*v)/u: its Perron vector is near 1 in every entry, and its Ritz
+    vectors times D are certified with A. The iterate with the narrowest
+    bracket (without one, the smallest residual) is returned, flagged
+    uncertified unless its bracket meets tol.
     """
     _check_budget(tol, max_iter)
     size = op.grid.size
     m = KRYLOV_DIM
-    base, value = op._perron_step((m + 1) * size)  # value: Ritz value -> lam
+    base = op._perron_step((m + 1) * size)
     if np.iscomplexobj(x0):
         raise ValueError("x0 must be real")
     x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
@@ -127,8 +127,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
         order = np.argsort(-theta.real)
         u = Y[:, order[0]].real @ V[:j]
         u *= gauge
-        ritz = float(theta[order[0]].real)
-        pair = _certify(op, u, value(ritz), tol)
+        pair = _certify(op, u, tol)
         calls += 1
         if best is None or _rank(pair) < _rank(best):
             best, stale = pair, 0
@@ -154,19 +153,20 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     return replace(best, u=u, iterations=calls)
 
 
-def _certify(op, u, lam, tol):
-    """(lam, u) checked against op by one op.apply: u's sign fixed, the
-    residual, the Collatz-Wielandt bracket, and lam moved into it."""
+def _certify(op, u, tol):
+    """u checked against op by one op.apply: u's sign fixed, lam = (u @ Au)
+    / (u @ u), the residual and the Collatz-Wielandt bracket. For u > 0, lam
+    is a u^2-weighted mean of the bracket's ratios, so it lies inside."""
     if np.sum(u) < 0:
         u = -u
     au = op.apply(u)
+    lam = float(u @ au) / float(u @ u)
     residual = float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
     lo, hi = -math.inf, math.inf
     if u.min() > 0.0:
         ratio = au / u
         lo, hi = float(ratio.min()), float(ratio.max())
-        # the Perron value lies in [lo, hi], so moving lam there only helps
-        lam = min(max(lam, lo), hi)
+        lam = min(max(lam, lo), hi)  # the rounding of the mean
     return EigenPair(lam=lam, u=u, residual=residual, iterations=1,
                      certified=hi - lo <= tol * max(1.0, abs(lam)),
                      lam_lo=lo, lam_hi=hi)

@@ -25,8 +25,8 @@ On a 1D grid the stencil is a periodic tridiagonal matrix, and for sigma
 above every row sum sigma - A is a nonsingular M-matrix. The operator
 factors it by odd-even cyclic reduction (Hockney, J. ACM 12, 1965), with no
 pivoting, so that the eigensolver can iterate the step (sigma - A)^-1.
-_perron_step hands the solver its step (apply on a 2D or 3D grid), after
-the checks that make the solver's bracket valid and the guard on its memory.
+_perron_step hands the solver its step, any map with A's Perron vector,
+after the checks that make the solver's bracket valid and its memory guard.
 """
 from __future__ import annotations
 
@@ -184,13 +184,12 @@ class SparseOperator:
         return out
 
     def _perron_step(self, basis):
-        """(step, value): the map step(v, out) that an eigensolver with a
-        Krylov basis of `basis` floats iterates, and value, from a Ritz value
-        of step to A's. It first raises the typed error of an entry that is
-        not finite, a negative coupling or a zero one, where the
-        Collatz-Wielandt bracket would not hold, then GridTooLargeError past
-        BASIS_MAX_BYTES. step is apply on a 2D or 3D grid, and on a 1D grid
-        a solve with sigma - A, whose Ritz value theta is 1/(sigma - lam)."""
+        """The map step(v, out) that an eigensolver with a Krylov basis of
+        `basis` floats iterates: any map whose dominant eigenvector is A's
+        Perron vector, apply on a 2D or 3D grid and on a 1D grid a solve with
+        sigma - A. It first raises the typed error of an entry that is not
+        finite, a negative coupling or a zero one, where the Collatz-Wielandt
+        bracket would not hold, then GridTooLargeError past BASIS_MAX_BYTES."""
         for entries in (self.diag, self.off):
             if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
                 raise CoefficientOverflowError("operator entries must be finite")
@@ -208,7 +207,7 @@ class SparseOperator:
                 "Krylov basis of %d floats and its step's factor exceed %d bytes"
                 % (basis, BASIS_MAX_BYTES))
         if self.grid.dim > 1:
-            return self.apply, lambda theta: theta
+            return self.apply
         # the Perron value of a Metzler A is at most its largest row sum; the
         # margin is far above the rounding of the sums and of the factor's
         # eliminations, a few ulps of the largest absolute row sum
@@ -216,7 +215,7 @@ class SparseOperator:
         hi = float(np.max(self.diag + couplings))  # the largest row sum
         scale = float(np.max(np.abs(self.diag) + couplings))
         sigma = hi + max(2.0**-20 * max(1.0, abs(hi)), 2.0**-40 * scale)
-        return _CyclicFactor(self.diag, self.off, sigma).solve, lambda theta: sigma - 1.0 / theta
+        return _CyclicFactor(self.diag, self.off, sigma).solve
 
 
 def _line_aligned_empty(size):

@@ -46,6 +46,10 @@ VALIDATION_TOL = 1e-8
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# the keys of a component's JSON form besides "type", by kind
+_KEYS = {"point": ("location",), "cycle": ("axis", "level", "period"),
+         "torus": ("k", "C", "alpha")}
+
 # the name of the check that b equals a component's flow, by kind
 _FLOW_CHECK = {"point": "field vanishes", "cycle": "orbit of the field",
               "torus": "constant flow matches k"}
@@ -161,7 +165,16 @@ class Scenario:
         """The i-th component from its JSON form: its held axes, flow and normal."""
         if not isinstance(spec, dict) or "type" not in spec:
             raise ScenarioFormatError("component %d has no type" % i)
-        kind, flow, given = spec["type"], np.zeros(self.dim), set(spec)
+        kind, flow = spec["type"], np.zeros(self.dim)
+        if not isinstance(kind, str) or kind not in _KEYS:
+            raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
+        keys = {"type", *_KEYS[kind]}
+        problems = ["%s keys: %s" % (what, ", ".join(sorted(map(repr, names))))
+                    for what, names in (("unknown", set(spec) - keys),
+                                        ("missing", keys - set(spec))) if names]
+        if problems:
+            raise ScenarioFormatError("component %d (%s) has %s"
+                                      % (i, kind, "; ".join(problems)))
         try:
             if kind == "point":
                 loc = [_finite(v) for v in _sequence(spec["location"], "location")]
@@ -182,7 +195,7 @@ class Scenario:
                 spec = {"type": kind, "axis": axis + 1, "level": level, "period": period}
                 held = [(j, level) for j in range(self.dim) if j != axis]
                 flow[axis] = TWO_PI / period
-            elif kind == "torus":
+            else:  # a torus
                 if self.dim != 2:
                     raise ScenarioFormatError("a torus needs dim 2")
                 k = [_finite(v) for v in _sequence(spec["k"], "k")]
@@ -191,16 +204,10 @@ class Scenario:
                 spec = {"type": kind, "k": tuple(k), "C": _finite(spec["C"]),
                         "alpha": _finite(spec["alpha"])}
                 held, flow[:] = (), k
-            else:
-                raise ScenarioFormatError("component %d: unknown type %r" % (i, kind))
         except ScenarioFormatError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
-        unknown = given - set(spec)  # spec now holds exactly the keys of its kind
-        if unknown:
-            raise ScenarioFormatError("component %d (%s) has unknown keys: %s"
-                                      % (i, kind, ", ".join(sorted(map(repr, unknown)))))
         # an angle far off the circle would overflow m.x; spec keeps it as given
         held = tuple((a, x % TWO_PI) for a, x in held)
         axes, base = [a for a, _ in held], np.zeros(self.dim)

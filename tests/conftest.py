@@ -53,21 +53,30 @@ def dense_principal(dense):
 
 def fourier_principal(scenario, eps, K):
     """Oracle: the rightmost eigenvalue of the continuum operator
-    eps*u'' + b u' + c u of a 1D scenario, from its Fourier-Galerkin matrix
-    on the modes |m| <= K. Entry (m, m') is -eps*m^2 on the diagonal plus
-    b_(m-m')*i*m' + c_(m-m'), with f_k the harmonics of f (0 past |k| = 2K)."""
-    m = np.arange(-K, K + 1)
-    diff = m[:, None] - m[None, :] + 2 * K  # m - m', offset into 0..4K
+    eps*Lap u + b.grad u + c u of a scenario, from its Fourier-Galerkin
+    matrix on the modes m with every |m_a| <= K, numbered row-major. Entry
+    (m, m') is -eps*|m|^2 on the diagonal plus sum_a b_a,(m-m')*i*m'_a +
+    c_(m-m'), with f_k the harmonics of f (0 past |k_a| = 2K)."""
+    dim = scenario.dim
+    axis = np.arange(-K, K + 1)
+    modes = [g.ravel() for g in np.meshgrid(*[axis] * dim, indexing="ij")]
+    # m - m' per axis, offset into 0..4K
+    diff = tuple(m[:, None] - m[None, :] + 2 * K for m in modes)
 
     def convolution(f):
-        coef = np.zeros(4 * K + 1, dtype=complex)
-        for (k,), a in f.harmonics(1).items():
-            if abs(k) <= 2 * K:
-                coef[k + 2 * K] = a
+        coef = np.zeros((4 * K + 1,) * dim, dtype=complex)
+        for k, a in f.harmonics(dim).items():
+            if max(map(abs, k)) <= 2 * K:
+                coef[tuple(ka + 2 * K for ka in k)] = a
         return coef[diff]
 
-    M = (convolution(scenario.b[0]) * (1j * m) + convolution(scenario.c)
-         - eps * np.diag(m.astype(float) ** 2))
+    M = convolution(scenario.b[0]) * (1j * modes[0])
+    for b, m in zip(scenario.b[1:], modes[1:]):
+        M += convolution(b) * (1j * m)
+    square = modes[0].astype(float) ** 2
+    for m in modes[1:]:
+        square += m.astype(float) ** 2
+    M = M + convolution(scenario.c) - eps * np.diag(square)
     return float(np.max(np.linalg.eigvals(M).real))
 
 

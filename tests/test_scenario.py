@@ -490,6 +490,27 @@ class TestJsonForm:
         with pytest.raises(ScenarioFormatError, match=match):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("data, unknown, missing", [
+        ({**BUILTINS["stable-point"], "components": [{"type": "point", "locaton": [0.0]}]},
+         "'locaton'", "'location'"),
+        ({**BUILTINS["stable-cycle"], "components": [
+            {"type": "cycle", "axis": 1, "levle": 0.0, "period": TWO_PI}]}, "'levle'", "'level'"),
+        ({**BUILTINS["irrational-torus"], "components": [
+            {"type": "torus", "k": [1.0, PHI], "c": 0.5, "alpha": 0.5}]}, "'c'", "'C'"),
+        ({**BUILTINS["stable-point"], "components": [{"type": "point"}]}, None, "'location'"),
+    ], ids=["point", "cycle", "torus", "point-without-location"])
+    def test_misspelled_component_keys_named(self, data, unknown, missing):
+        # a misspelled key used to be reported only as the missing one, as
+        # "component 0 malformed: 'location'"
+        with pytest.raises(ScenarioFormatError) as info:
+            scenario_from_dict({**data, "name": "x"})
+        message = str(info.value)
+        assert "missing keys: %s" % missing in message
+        if unknown is None:
+            assert "unknown" not in message
+        else:
+            assert "unknown keys: %s" % unknown in message
+
     def test_constructor_rejects_unknown_component_keys(self):
         with pytest.raises(ScenarioFormatError, match="'jacobian'"):
             Scenario("x", 1, ["-sin(x1)"], "0", "0",
