@@ -6,9 +6,9 @@ Hermitian, a_{-m} = conj(a_m) exactly, so f is real and 2*pi-periodic; it
 holds no zero entries, and no part of an entry is -0.0. Sums merge the maps,
 products convolve them, and d/dx_a multiplies each a_m by i*m_a, so the
 class is closed under +, -, * and partial differentiation, in float
-arithmetic on the coefficients. Pointwise values are sums over half of the
-spectrum (__call__); grid samples contract it one axis at a time
-(on_grid, slab_sampler).
+arithmetic on the coefficients. Values at points, a 1D grid's too, sum
+half the spectrum (__call__); a grid of more axes contracts it one axis at
+a time (on_grid, slab_sampler); hold restricts f to held axes.
 """
 from __future__ import annotations
 
@@ -25,10 +25,6 @@ _ZERO = (0,) * _NVARS  # the zero mode; m > _ZERO iff m's first nonzero entry is
 
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
-
-# a 1D sampler forms the e^{i m x} table for at most this many points at a
-# time; a grid of two or more axes has its whole last axis in one table
-TABLE_COLUMNS = 4096
 
 __all__ = [
     "TrigExpr",
@@ -94,11 +90,11 @@ class TrigExpr:
         g_0 = a_0 and g_m = 2 a_m off the zero mode, added into one
         accumulator in key order.
 
-        This is the pointwise evaluator, for point sets such as the mesh
-        points near a component; on_grid fills a whole tensor grid faster. The
-        angle m.x takes only the axes with m_a != 0, so on an open mesh
-        (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on n points.
-        The arithmetic per element is the same for any broadcast shape.
+        This is the pointwise evaluator, for the mesh points near a component
+        and the points of a 1D grid: on_grid(n, 1) is this at grid_angles(n)
+        bit for bit. The angle m.x takes only the axes with m_a != 0, so on
+        an open mesh (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on
+        n points. The arithmetic per element is the same for any shape.
         """
         nv = self.nvars
         if len(coords) < nv:
@@ -127,15 +123,20 @@ class TrigExpr:
 
         This is slab_sampler(n, dim) filling every axis-0 slab at once, so
         on_grid and a fill of the slabs in any blocks give the same bytes.
-        The values agree with __call__ to a few rounding errors of
-        sum |a_m|.
+        In 1D they are __call__ at grid_angles(n), bit for bit; on more axes
+        they agree with __call__ to a few rounding errors of sum |a_m|. n
+        must be an integer >= 1 and dim one in 1..3, else ValueError.
         """
         return self.slab_sampler(n, dim).fill(np.empty(n**dim), 0, n)
 
     def slab_sampler(self, n, dim):
         """The samples of on_grid, prepared once and then filled any range
         of axis-0 slabs at a time (a _SlabSampler)."""
-        return _SlabSampler(self.harmonics(dim), n, dim)
+        if not _is_int(n) or n < 1:
+            raise ValueError("n must be an integer >= 1, got %r" % (n,))
+        if not _is_int(dim) or not 1 <= dim <= _NVARS:
+            raise ValueError("dim must be an integer in 1..%d, got %r" % (_NVARS, dim))
+        return _SlabSampler(self, int(n), int(dim))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -204,10 +205,27 @@ class TrigExpr:
     def harmonics(self, dim):
         """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
         expression holds, with the keys m cut to length dim; a_{-m} =
-        conj(a_m) exactly. slab_sampler and abs_sum read them on each call."""
+        conj(a_m) exactly. slab_sampler, abs_sum and hold read them on each call."""
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         return {m[:dim]: a for m, a in self._coef.items()}
+
+    def hold(self, pairs):
+        """f on the set where each axis a of the (a, x) `pairs`, a in 0..2,
+        is held at the finite angle x: a_m e^{i m_a x} moves to the frequency
+        with m_a = 0, summed at frequencies >= 0 only (the constructor adds
+        the conjugates). Its zero mode is the mean of f on the set."""
+        held = dict(pairs)
+        if not all(_is_int(a) and 0 <= a < _NVARS and math.isfinite(x)
+                   for a, x in held.items()):
+            raise ValueError("hold needs axes in 0..2 and finite angles, got %r" % (held,))
+        half = {}
+        for m, a in self._coef.items():
+            key = tuple(0 if i in held else k for i, k in enumerate(m))
+            if key >= _ZERO:
+                phase = sum(m[i] * x for i, x in held.items())
+                half[key] = half.get(key, 0j) + a * cmath.exp(1j * phase)
+        return TrigExpr(half.items())
 
     def abs_sum(self, dim):
         """sum |a_m| over harmonics(dim): a bound on |f| at every point; inf
@@ -253,25 +271,24 @@ class _SlabSampler:
     """One field's samples on the (n,)*dim grid, row-major, filled a range
     of axis-0 slabs at a time.
 
-    They are computed from the exact harmonics(dim), read when the sampler
-    is made, grouped by the last axis's frequency m_L. By the Hermitian
-    symmetry, f = Re sum over m_L >= 0 of g(x') e^{i m_L x_L}, with g the
-    coefficients a_m (doubled where m_L > 0) summed over the other axes
-    against their e^{i m x} tables. The sampler is built once per field:
-    that sum is a small complex contraction per leading axis, kept as the
-    real weights [Re g, -Im g], one row per point of the leading axes. A
-    fill is then the real matrix product of the weights of its slabs with
-    the [cos(m_L x); sin(m_L x)] table of the last axis, written into out.
-    On a grid of two or more axes the sampler makes the table of the whole
-    last axis once, and each fill takes one product. In 1D a slab is one
-    point, so each fill makes the tables of its own columns, at most
-    TABLE_COLUMNS points each, one product per table, and no array of grid
-    length is made but out.
+    On two or more axes they come from the exact harmonics(dim), read when
+    the sampler is made, grouped by the last axis's frequency m_L. By the
+    Hermitian symmetry, f = Re sum over m_L >= 0 of g(x') e^{i m_L x_L},
+    with g the coefficients a_m (doubled where m_L > 0) summed over the
+    other axes against their e^{i m x} tables: a small complex contraction
+    per leading axis, made once and kept as the real weights [Re g, -Im g],
+    one row per point of the leading axes, beside the [cos(m_L x);
+    sin(m_L x)] table of the whole last axis. A fill is the real matrix
+    product of the weights of its slabs with that table, written into out.
     """
 
-    __slots__ = ("_n", "_dim", "_last", "_weights", "_table")
+    __slots__ = ("_expr", "_n", "_dim", "_weights", "_table")
 
-    def __init__(self, harm, n, dim):
+    def __init__(self, expr, n, dim):
+        self._expr, self._n, self._dim = expr, n, dim
+        harm = expr.harmonics(dim)  # raises if expr uses more than dim axes
+        if dim == 1:
+            return
         # g holds the harmonics(dim) `harm` with m_L >= 0, doubled where
         # m_L > 0, indexed by the frequencies present on each axis
         half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
@@ -285,9 +302,9 @@ class _SlabSampler:
             e = np.cos(angle) + 1j * np.sin(angle)
             g = np.tensordot(g, e, axes=(0, 1))  # a frequency axis becomes a grid axis
         g = g.reshape(last.size, n ** (dim - 1))
-        self._n, self._dim, self._last = n, dim, last
         self._weights = np.concatenate([g.real, -g.imag]).T
-        self._table = None if dim == 1 else _table(last, n, 0, n)
+        angle = np.multiply.outer(last, grid_angles(n))
+        self._table = np.concatenate([np.cos(angle), np.sin(angle)])
 
     def fill(self, out, i0, i1):
         """Write the samples of the axis-0 slabs i0 <= i < i1 into out, a
@@ -295,11 +312,10 @@ class _SlabSampler:
         return it."""
         n = self._n
         if self._dim == 1:
-            # one row of weights; the slabs are the columns i0..i1 of out
-            for lo in range(i0, i1, TABLE_COLUMNS):
-                hi = min(lo + TABLE_COLUMNS, i1)
-                np.matmul(self._weights, _table(self._last, n, lo, hi),
-                          out=out[None, lo - i0:hi - i0])
+            # a slab is one point; out holds the angles while __call__
+            # reads them, so no second array of block length stays alive
+            out[:] = grid_angles(n, i0, i1)
+            out[:] = self._expr(out)
             return out
         per_slab = n ** (self._dim - 2)
         w0, w1 = i0 * per_slab, i1 * per_slab
@@ -307,22 +323,16 @@ class _SlabSampler:
         if w1 - w0 == 1:
             # numpy takes a product with one row to gemv, which rounds
             # otherwise than the matrix product over all rows that gives
-            # on_grid's bytes, so one row of weights goes with a second
-            p0 = min(w0, len(self._weights) - 2)
+            # on_grid's bytes, so one row of weights goes with a second if any
+            p0 = max(0, min(w0, len(self._weights) - 2))
             rows[:] = (self._weights[p0:p0 + 2] @ self._table)[w0 - p0]
         else:
             np.matmul(self._weights[w0:w1], self._table, out=rows)
         return out
 
 
-def _table(last, n, lo, hi):
-    """[cos(m x); sin(m x)] over the last axis's frequencies m and its
-    points lo <= j < hi."""
-    angle = np.multiply.outer(last, grid_angles(n, lo, hi))
-    table = np.empty((2 * last.size, hi - lo))
-    np.cos(angle, out=table[:last.size])
-    np.sin(angle, out=table[last.size:])
-    return table
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def grid_angles(n, lo=0, hi=None):

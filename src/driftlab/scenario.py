@@ -10,13 +10,12 @@ matrix, Db on the held axes from the exact derivative fields. A point holds
 every axis, with flow 0; a cycle the axes across it at its level, with flow
 2*pi/period along its axis; a torus none, with flow k. Validation reads every
 kind through those fields, bounds a field on all of a component from its
-held harmonics (_held), and reports residuals without mutating anything. A
-component's distance(coords) takes one array per axis, broadcastable, as
-Grid.open_mesh returns them, and returns their broadcast shape.
+restriction there (TrigExpr.hold), and reports residuals without mutating
+anything. A component's distance(coords) takes one array per axis,
+broadcastable, as Grid.open_mesh returns them, and returns their shape.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import numbers
@@ -39,6 +38,9 @@ NEIGHBORHOOD_RADIUS = 0.5
 
 # continued-fraction depth required to accept a frequency ratio as irrational
 IRRATIONALITY_DEPTH = 20
+
+# a torus's declared small-divisor bound is checked on 0 < |m| <= this
+SMALL_DIVISOR_RANGE = 64
 
 # points per axis of the validation mesh, and the residual a check allows
 VALIDATION_RESOLUTION = 64
@@ -259,24 +261,10 @@ def _excess(x):
     return 0.0 if x <= 0.0 else x
 
 
-def _held(f, dim, held):
-    """f.harmonics(dim) with each axis a of `held`, (a, x) pairs, held at
-    x: a_m times e^{i m_a x} moves to the frequency with m_a = 0. What is
-    left is f on the component, a function of its free axes; its zero mode
-    is the mean of f there."""
-    held, out = dict(held), {}
-    for m, a in f.harmonics(dim).items():
-        key = tuple(0 if i in held else k for i, k in enumerate(m))
-        phase = sum(m[i] * x for i, x in held.items())
-        out[key] = out.get(key, 0j) + a * cmath.exp(1j * phase)
-    return out
-
-
 def _bound(comp, dim, fields):
-    """The largest sum |a| over the fields' harmonics held on comp: it bounds
-    |field| on all of comp. NaN if any sum is."""
-    return float(np.max([sum(map(abs, _held(f, dim, comp.held).values()))
-                         for f in fields]))
+    """The largest abs_sum of the fields' restrictions to comp, f.hold(
+    comp.held): it bounds |field| on all of comp. NaN if any sum is."""
+    return float(np.max([f.hold(comp.held).abs_sum(dim) for f in fields]))
 
 
 def validate_scenario(scenario):
@@ -322,11 +310,11 @@ def validate_scenario(scenario):
             checks.append(ValidationCheck(
                 cid + " irrational ratio", ok, 0.0 if ok else 1.0,
                 "continued fraction of k1/k2 needs %d terms" % IRRATIONALITY_DEPTH))
-            spec = comp.spec
-            ok, margin = check_declared_bound(comp.flow, 64, spec["C"], spec["alpha"])
+            C, alpha = comp.spec["C"], comp.spec["alpha"]
+            ok, margin = check_declared_bound(comp.flow, SMALL_DIVISOR_RANGE, C, alpha)
             checks.append(ValidationCheck(
                 cid + " small-divisor bound", ok, _excess(1.0 - margin),
-                "declared (C, alpha) margin %.3g on |m| <= 64" % margin))
+                "declared (C, alpha) margin %.3g on |m| <= %d" % (margin, SMALL_DIVISOR_RANGE)))
 
     residual_check("L nonnegative", _excess(-float(np.min(scenario.L.on_grid(grid.n, dim)))))
 

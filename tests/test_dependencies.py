@@ -71,3 +71,33 @@ def test_solver_reads_the_stencil_only_through_the_operator():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible"]
     assert defined == []
+
+
+def test_only_expr_reads_the_harmonics():
+    # expr.py is the one module that knows the Fourier form: every other
+    # module samples, bounds or restricts a field through TrigExpr methods
+    reads = []
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        reads += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "harmonics"]
+        if "cmath" in imported_modules(path):
+            reads.append("%s imports cmath" % path.name)
+    assert reads == []
+
+
+def test_every_constant_is_read():
+    # a module-level UPPER_CASE name that no code in src loads is a dead
+    # setting; tests reading it do not count
+    src = ROOT / "src" / "driftlab"
+    defined, loaded = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += ["%s %s" % (path.name, t.id) for node in tree.body
+                    if isinstance(node, ast.Assign) for t in node.targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+        loaded |= {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert defined and [d for d in defined if d.split()[1] not in loaded] == []

@@ -303,6 +303,9 @@ def test_harmonics_match_product_expansion_bitwise(name):
         assert bits(got) == bits(reference_harmonics(text, spec["dim"])), text
 
 
+GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: setattr(TrigExpr(), "nvars", 3), AttributeError, "TrigExpr is immutable"),
     (lambda: parse_expr("cos(x1)").derivative(3), ValueError, "axis out of range"),
@@ -314,9 +317,24 @@ def test_harmonics_match_product_expansion_bitwise(name):
     (lambda: parse_expr("2*cos"), ExprSyntaxError, r"expected '\(' after cos"),
     (lambda: parse_expr("1 + * 2"), ExprSyntaxError, "expected a number or sin/cos"),
     (lambda: parse_expr("x1"), ExprSyntaxError, "expected a number or sin/cos"),
+    (lambda: GRID_FIELD.on_grid(8, 4), ValueError, "dim must be an integer in 1..3"),
+    (lambda: GRID_FIELD.on_grid(8, 0), ValueError, "dim must be an integer in 1..3"),
+    (lambda: GRID_FIELD.on_grid(8, True), ValueError, "dim must be an integer"),
+    (lambda: GRID_FIELD.on_grid(0, 2), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.on_grid(4.0, 2), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.on_grid(True, 2), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.slab_sampler(-3, 1), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.hold([(3, 0.0)]), ValueError, "hold needs axes in 0..2"),
+    (lambda: GRID_FIELD.hold([(-1, 0.0)]), ValueError, "hold needs axes in 0..2"),
+    (lambda: GRID_FIELD.hold([(True, 0.0)]), ValueError, "hold needs axes in 0..2"),
+    (lambda: GRID_FIELD.hold([(0, math.nan)]), ValueError, "finite angles"),
+    (lambda: GRID_FIELD.hold([(1, math.inf)]), ValueError, "finite angles"),
 ], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "harmonics-dim",
         "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
-        "bare-variable"])
+        "bare-variable", "on-grid-dim-4", "on-grid-dim-0", "on-grid-dim-bool",
+        "on-grid-n-0", "on-grid-n-float", "on-grid-n-bool", "slab-sampler-n-negative",
+        "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",
+        "hold-angle-inf"])
 def test_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import SINK_3D, bare_scenario, to_dense
-from driftlab import expr, operator
+from driftlab import operator
 from driftlab.errors import CoefficientOverflowError, GridTooLargeError
-from driftlab.expr import TrigExpr, parse_expr
+from driftlab.expr import TrigExpr, grid_angles, parse_expr
 from driftlab.operator import Grid, SparseOperator, assemble
 from driftlab.scenario import (
     BUILTIN_NAMES,
-    _held,
     builtin_scenario,
     scenario_from_dict,
 )
@@ -133,21 +132,18 @@ class TestOnGrid:
                 assert_on_grid_matches_pointwise(f, dim, n)
 
     @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9)])
-    def test_axis_in_blocks(self, monkeypatch, dim, n):
-        # in 1D a last axis longer than TABLE_COLUMNS is filled one table at
-        # a time; a 2D grid has its whole last axis in one table regardless
-        monkeypatch.setattr(expr, "TABLE_COLUMNS", 4)
+    def test_axis_in_blocks(self, dim, n):
+        # a 1D grid is sampled by __call__, a 2D grid by its one table of
+        # the whole last axis
         for f in [parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"),
                   parse_expr("sin(x1 - 2*x2) + 3")]:
             if f.nvars <= dim:
                 assert_on_grid_matches_pointwise(f, dim, n)
 
     @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9), (2, 16), (3, 9)])
-    def test_equals_slab_fills_over_any_blocks(self, monkeypatch, dim, n):
+    def test_equals_slab_fills_over_any_blocks(self, dim, n):
         # the fills of any partition of the axis-0 slabs into blocks, one
-        # slab blocks included, write on_grid's bytes; in 1D with tables
-        # narrower than some blocks, and starting inside a table
-        monkeypatch.setattr(expr, "TABLE_COLUMNS", 4)
+        # slab blocks included, write on_grid's bytes
         rng = np.random.default_rng(dim * 100 + n)
         fields = [f for s in FIELD_CASES for f in all_fields(s)] + EXTRA_FIELDS
         slab = n ** (dim - 1)
@@ -163,6 +159,28 @@ class TestOnGrid:
                     block = got[i0 * slab:i1 * slab]
                     assert sampler.fill(block, i0, i1) is block
                 np.testing.assert_array_equal(bits(got), bits(want), str(f))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 33, 4097])
+    def test_1d_is_pointwise_bitwise(self, n):
+        # a 1D grid is only points: on_grid(n, 1) is __call__ at its angles
+        fields = [f for s in FIELD_CASES for f in all_fields(s) if f.nvars <= 1]
+        fields += [parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"), TrigExpr()]
+        for f in fields:
+            np.testing.assert_array_equal(bits(f.on_grid(n, 1)), bits(f(grid_angles(n))),
+                                          str(f))
+
+    def test_one_point_grid_is_the_origin(self):
+        # one point has one row of weights, with no second row to pair it with
+        for f in [parse_expr("cos(x1) + 0.5*sin(2*x2)"), *EXTRA_FIELDS]:
+            for dim in range(max(f.nvars, 1), 4):
+                got = f.on_grid(1, dim)
+                tol = 8 * np.finfo(float).eps * f.abs_sum(dim)
+                assert got.shape == (1,) and abs(got[0] - f(*[0.0] * dim)) <= tol, str(f)
+
+    def test_numpy_integer_sizes_accepted(self):
+        f = parse_expr("sin(x1 - 2*x2) + 3")
+        got = f.on_grid(np.int64(9), np.int32(2))
+        np.testing.assert_array_equal(bits(got), bits(f.on_grid(9, 2)))
 
     def test_abs_sum(self):
         assert parse_expr("3*cos(x1) - 2*sin(x1 + x2) + 0.5").abs_sum(2) == 5.5
@@ -224,7 +242,7 @@ class TestHeldHarmonics:
                 for held_axes in itertools.product((False, True), repeat=dim):
                     fixed = [(a, rng.uniform(0, 2 * math.pi))
                              for a in range(dim) if held_axes[a]]
-                    held = _held(f, dim, fixed)
+                    held = f.hold(fixed).harmonics(dim)
                     assert all(len(m) == dim and not any(m[a] for a, _ in fixed)
                                for m in held)
                     free = rng.uniform(0, 2 * math.pi, dim)
@@ -253,14 +271,13 @@ class TestAssembleStencil:
         (builtin_scenario("stable-point"), 12289, 5000, 3),
         (scenario_from_dict(SINK_3D), 9, 200, 5),
         (scenario_from_dict(SINK_3D), 9, 50, 9),
-    ], ids=["2d-partial", "2d-odd", "2d-odd-partial", "1d-past-table-columns",
+    ], ids=["2d-partial", "2d-odd", "2d-odd-partial", "1d-partial",
             "3d-odd", "3d-slab-past-block"])
     def test_in_blocks_matches_reference_bitwise(self, monkeypatch, s, n, block_rows,
                                                  blocks):
         # assembly walks apply's blocks: a partial last block (of one slab
-        # in 2d-partial), odd n, a 1D grid of blocks that span more than
-        # one table of TABLE_COLUMNS points and start inside one, and one 3D
-        # slab per block where a slab exceeds BLOCK_ROWS
+        # in 2d-partial), odd n, a 1D grid of odd length in three blocks,
+        # and one 3D slab per block where a slab exceeds BLOCK_ROWS
         monkeypatch.setattr(operator, "BLOCK_ROWS", block_rows)
         g = Grid(s.dim, n)
         assert len(operator._slab_blocks(g)) == blocks
