@@ -20,12 +20,12 @@ v -> step(u*v)/u of its best u, whose Perron vector is ~1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DriftlabError, ScheduleError
+from .expr import _is_int, _is_real
 from .operator import Grid, assemble
 
 __all__ = [
@@ -65,8 +65,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf. Arnoldi
     iterates the step op._perron_step gives, any map with A's Perron vector:
     op.apply on a 2D or 3D grid, on a 1D grid a solve with (sigma - A).
-    lam, the residual and the bracket come from one apply of A at u. The
-    step's checks of op and its memory guard raise before x0 is checked.
+    lam, the residual and the bracket come from one apply of A at u. x0 is
+    checked before the step is made, and so before the step's checks of op.
     `iterations` counts the steps and the one op.apply per _certify, at most
     max_iter of them. A run ends when they run out, or when STALL_CYCLES
     cycles in a row improve neither the bracket width nor, at equal width,
@@ -81,8 +81,6 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     """
     _check_budget(tol, max_iter)
     size = op.grid.size
-    m = KRYLOV_DIM
-    base = op._perron_step((m + 1) * size)
     if np.iscomplexobj(x0):
         raise ValueError("x0 must be real")
     x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
@@ -94,6 +92,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     # an exact power-of-two scaling to max|x| in [1/2, 1): the squared norm
     # neither over- nor underflows, and the unit vector is that of x0
     x = np.ldexp(x, -math.frexp(top)[1])
+    m = KRYLOV_DIM
+    base = op._perron_step((m + 1) * size)
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     V[0] = x / math.sqrt(np.sum(x * x))
@@ -173,11 +173,11 @@ def _certify(op, u, tol):
 
 
 def _check_budget(tol, max_iter):
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+    if not _is_real(tol):
         raise ValueError("tol must be a real number, got %r" % (tol,))
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+    if not _is_int(max_iter):
         raise ValueError("max_iter must be an integer, got %r" % (max_iter,))
     if max_iter < 2:
         raise ValueError("max_iter must allow one Arnoldi step and one check")
@@ -246,7 +246,7 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
         raise ScheduleError("eps schedule must be a sequence of numbers, got %r"
                             % (eps_list,))
     for e in eps_list:
-        if isinstance(e, bool) or not isinstance(e, numbers.Real):
+        if not _is_real(e):
             raise ScheduleError("eps must be a real number, got %r" % (e,))
     eps_list = [float(e) for e in eps_list]
     if not eps_list or not all(0 < e < math.inf for e in eps_list):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 
 import numpy as np
@@ -143,7 +144,7 @@ class TrigExpr:
     def _as_expr(other):
         if isinstance(other, TrigExpr):
             return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
+        if _is_real(other):
             return TrigExpr.constant(float(other))
         return None
 
@@ -195,7 +196,7 @@ class TrigExpr:
     def derivative(self, axis):
         """Exact partial derivative with respect to x{axis+1} (axis 0-based):
         each a_m times i*m_axis."""
-        if not 0 <= axis < _NVARS:
+        if not (_is_int(axis) and 0 <= axis < _NVARS):
             raise ValueError("axis out of range")
         return TrigExpr((m, complex(-m[axis] * a.imag, m[axis] * a.real))
                         for m, a in self._half())
@@ -206,19 +207,24 @@ class TrigExpr:
         """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
         expression holds, with the keys m cut to length dim; a_{-m} =
         conj(a_m) exactly. slab_sampler, abs_sum and hold read them on each call."""
+        if not _is_int(dim):
+            raise ValueError("dim must be an integer, got %r" % (dim,))
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         return {m[:dim]: a for m, a in self._coef.items()}
 
     def hold(self, pairs):
-        """f on the set where each axis a of the (a, x) `pairs`, a in 0..2,
-        is held at the finite angle x: a_m e^{i m_a x} moves to the frequency
-        with m_a = 0, summed at frequencies >= 0 only (the constructor adds
-        the conjugates). Its zero mode is the mean of f on the set."""
+        """f on the set where each axis a of the (a, x) `pairs`, a in 0..2
+        named once, is held at the finite angle x: a_m e^{i m_a x} moves to the
+        frequency with m_a = 0, summed at frequencies >= 0 only (the constructor
+        adds the conjugates). Its zero mode is the mean of f on the set."""
+        pairs = list(pairs)
         held = dict(pairs)
-        if not all(_is_int(a) and 0 <= a < _NVARS and math.isfinite(x)
+        if not all(_is_int(a) and 0 <= a < _NVARS and _is_real(x) and math.isfinite(x)
                    for a, x in held.items()):
             raise ValueError("hold needs axes in 0..2 and finite angles, got %r" % (held,))
+        if len(held) < len(pairs):
+            raise ValueError("hold needs each axis at most once, got %r" % (pairs,))
         half = {}
         for m, a in self._coef.items():
             key = tuple(0 if i in held else k for i, k in enumerate(m))
@@ -332,7 +338,13 @@ class _SlabSampler:
 
 
 def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether value is an integer argument: an Integral, numpy's too, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Whether value is a real argument: a Real, numpy's too, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def grid_angles(n, lo=0, hi=None):
@@ -382,14 +394,9 @@ class _Tokens:
                 "unexpected character %r" % self.text[self.pos], self.pos
             )
         self.pos = m.end()
-        if m.lastgroup == "num":
-            if not math.isfinite(float(m.group())):
-                raise ExprSyntaxError("number %r out of range" % m.group(), self.tok_pos)
-            self.tok = ("num", m.group())
-        elif m.lastgroup == "name":
-            self.tok = ("name", m.group())
-        else:
-            self.tok = ("op", m.group())
+        if m.lastgroup == "num" and not math.isfinite(float(m.group())):
+            raise ExprSyntaxError("number %r out of range" % m.group(), self.tok_pos)
+        self.tok = (m.lastgroup, m.group())
 
     def take(self):
         t, p = self.tok, self.tok_pos

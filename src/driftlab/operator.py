@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
                      NotIrreducibleError)
-from .expr import grid_angles
+from .expr import _is_int, _is_real, grid_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +75,7 @@ class Grid:
 
     def __post_init__(self):
         for v in (self.dim, self.n):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_int(v):
                 raise ValueError("grid dim and n must be integers, got %r" % (v,))
         # a numpy integer would wrap around in n**dim
         object.__setattr__(self, "dim", int(self.dim))
@@ -132,7 +131,8 @@ class SparseOperator:
     scratch and the views of diag, off and the scratch that each block uses
     are made once, with the operator, so apply is not safe to call from two
     threads at once on one operator. The views see edits of diag and off in
-    place, but assume that the arrays themselves are not replaced.
+    place; grid, diag, off and _plan cannot be rebound once the operator is
+    built, so the arrays apply reads are the ones _perron_step checks.
     """
 
     def __init__(self, grid, diag, off):
@@ -142,10 +142,15 @@ class SparseOperator:
                     and arr.shape == shape and arr.flags.c_contiguous):
                 raise ValueError("%s must be a C-contiguous float64 array of shape %s"
                                  % (name, shape))
-        self.grid = grid
-        self.diag = diag  # (N,)
-        self.off = off  # (2*dim, N) neighbour coefficients
-        self._plan = _block_plan(grid, diag, off)
+        self.__dict__.update(grid=grid,
+                             diag=diag,  # (N,)
+                             off=off,  # (2*dim, N) neighbour coefficients
+                             _plan=_block_plan(grid, diag, off))
+
+    def __setattr__(self, name, value):
+        if name in ("grid", "diag", "off", "_plan"):
+            raise AttributeError("SparseOperator.%s cannot be rebound" % name)
+        super().__setattr__(name, value)
 
     @property
     def min_offdiag(self):
@@ -397,7 +402,7 @@ def assemble(scenario, grid, eps):
     for the drift."""
     if grid.dim != scenario.dim:
         raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+    if not _is_real(eps):
         raise ValueError("eps must be a real number, got %r" % (eps,))
     if grid.size > MAX_GRID_SIZE:
         raise GridTooLargeError(

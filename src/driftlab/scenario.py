@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import types
 from dataclasses import asdict, dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from .diophantine import check_declared_bound, is_irrational
 from .errors import ScenarioFormatError
-from .expr import parse_expr
+from .expr import _is_int, _is_real, parse_expr
 from .operator import TWO_PI, Grid
 
 # |Re eigenvalue| below this is treated as a zero real part (not hyperbolic)
@@ -382,13 +381,13 @@ def builtin_scenario(name):
 
 
 def _integer(value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError("%r is not an integer" % (value,))
     return int(value)
 
 
 def _finite(value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError("%r is not a number" % (value,))
     if not math.isfinite(value):
         raise ValueError("%r is not finite" % (value,))

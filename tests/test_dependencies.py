@@ -101,3 +101,23 @@ def test_every_constant_is_read():
         loaded |= {node.id for node in ast.walk(tree)
                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert defined and [d for d in defined if d.split()[1] not in loaded] == []
+
+
+def test_only_expr_knows_what_a_number_is():
+    # expr._is_int and expr._is_real hold the rule for a numeric argument, a
+    # number that is not a bool: no other module spells it out
+    spelled = []
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                spelled.append("%s:%d isinstance(..., bool)" % (path.name, node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr in ("integer", "floating"):
+                spelled.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+        if "numbers" in imported_modules(path):
+            spelled.append("%s imports numbers" % path.name)
+    assert spelled == []

@@ -44,12 +44,13 @@ ORACLE_IDS = [s.name for s, _ in ORACLE_CASES]
 
 
 class CountingOperator(SparseOperator):
-    """The same stencil operator, counting its apply calls and the solves
-    made with its shifted factors."""
+    """The same stencil operator, counting its apply calls, the steps it
+    makes and the solves made with its shifted factors."""
 
     def __init__(self, op):
         super().__init__(op.grid, op.diag, op.off)
         self.applies = 0
+        self.steps = 0
         self.solves = 0
 
     def apply(self, x, out=None):
@@ -57,6 +58,7 @@ class CountingOperator(SparseOperator):
         return super().apply(x, out=out)
 
     def _perron_step(self, basis):
+        self.steps += 1
         step = super()._perron_step(basis)
         if step == self.apply:
             return step
@@ -97,6 +99,20 @@ class TestPreconditions:
         assert not op.is_metzler
         with pytest.raises(NonMetzlerError, match="-5 < 0"):
             principal_eigenpair(op)
+
+    def test_arrays_cannot_be_rebound(self):
+        # apply reads _plan's views of the arrays the operator was built
+        # with, so a rebound diag would be checked by _perron_step, not applied
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.1)
+        held = {"grid": op.grid, "diag": op.diag, "off": op.off, "_plan": op._plan}
+        for name, value in [("grid", Grid(2, 16)), ("diag", op.diag + 5.0),
+                            ("off", op.off.copy()), ("_plan", list(op._plan))]:
+            with pytest.raises(AttributeError, match="SparseOperator.%s cannot be rebound"
+                               % name):
+                setattr(op, name, value)
+            assert getattr(op, name) is held[name]
+        want = principal_eigenpair(assemble(builtin_scenario("mixed"), Grid(2, 16), 0.1))
+        assert principal_eigenpair(op).lam == want.lam
 
     def test_non_metzler_message_reports_min_offdiag(self):
         s = builtin_scenario("stable-point")
@@ -178,10 +194,11 @@ class TestPreconditions:
         (1j * np.ones(16), "x0 must be real"),
     ], ids=["zero", "nan", "short", "long", "complex", "imaginary"])
     def test_bad_start_vector_rejected(self, x0, match):
+        # checked before the step is made: a 1D step factors sigma - A
         op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 16), 0.1))
         with pytest.raises(ValueError, match=match):
             principal_eigenpair(op, x0=x0)
-        assert op.applies == 0
+        assert op.applies == op.steps == 0
 
     @pytest.mark.parametrize("fill", [1e200, 1e-200])
     def test_extreme_start_vector_accepted(self, fill):

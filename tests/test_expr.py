@@ -310,6 +310,13 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: setattr(TrigExpr(), "nvars", 3), AttributeError, "TrigExpr is immutable"),
     (lambda: parse_expr("cos(x1)").derivative(3), ValueError, "axis out of range"),
     (lambda: parse_expr("cos(x1)").derivative(-1), ValueError, "axis out of range"),
+    (lambda: parse_expr("cos(x2) + sin(x1)").derivative(True), ValueError,
+     "axis out of range"),
+    (lambda: parse_expr("cos(x1)").derivative(1.5), ValueError, "axis out of range"),
+    (lambda: parse_expr("cos(x1)").harmonics(True), ValueError, "dim must be an integer"),
+    (lambda: parse_expr("cos(x1)").abs_sum(2.5), ValueError, "dim must be an integer"),
+    (lambda: parse_expr("cos(x1)") + True, TypeError, "unsupported operand"),
+    (lambda: True * parse_expr("cos(x1)"), TypeError, "unsupported operand"),
     (lambda: parse_expr("cos(x1 + x3)").harmonics(2), ValueError,
      "more variables than dim"),
     (lambda: parse_expr(b"cos(x1)"), TypeError, "expression must be a string"),
@@ -329,12 +336,16 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: GRID_FIELD.hold([(True, 0.0)]), ValueError, "hold needs axes in 0..2"),
     (lambda: GRID_FIELD.hold([(0, math.nan)]), ValueError, "finite angles"),
     (lambda: GRID_FIELD.hold([(1, math.inf)]), ValueError, "finite angles"),
-], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "harmonics-dim",
+    (lambda: GRID_FIELD.hold([(1, "0.5")]), ValueError, "finite angles"),
+    (lambda: GRID_FIELD.hold([(0, 0.0), (0, math.pi)]), ValueError, "each axis at most once"),
+], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "derivative-axis-bool",
+        "derivative-axis-float", "harmonics-dim-bool", "abs-sum-dim-float", "add-bool",
+        "bool-times", "harmonics-dim",
         "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
         "bare-variable", "on-grid-dim-4", "on-grid-dim-0", "on-grid-dim-bool",
         "on-grid-n-0", "on-grid-n-float", "on-grid-n-bool", "slab-sampler-n-negative",
         "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",
-        "hold-angle-inf"])
+        "hold-angle-inf", "hold-angle-string", "hold-axis-repeated"])
 def test_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -108,6 +108,7 @@ class TestOpenMesh:
 
 EXTRA_FIELDS = [parse_expr("sin(x1 - 2*x2) + 3"),
                 parse_expr("0.5*cos(x1 + x2 - x3)*sin(3*x3 + 0.25) - 1"),
+                parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"),
                 TrigExpr(), TrigExpr.constant(-2.5)]
 
 
@@ -129,15 +130,6 @@ class TestOnGrid:
     def test_matches_pointwise(self, fields, n):
         for f in fields:
             for dim in range(max(f.nvars, 1), 4):
-                assert_on_grid_matches_pointwise(f, dim, n)
-
-    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9)])
-    def test_axis_in_blocks(self, dim, n):
-        # a 1D grid is sampled by __call__, a 2D grid by its one table of
-        # the whole last axis
-        for f in [parse_expr("0.5 + 0.5*cos(x1) - 0.25*sin(3*x1 + 1)"),
-                  parse_expr("sin(x1 - 2*x2) + 3")]:
-            if f.nvars <= dim:
                 assert_on_grid_matches_pointwise(f, dim, n)
 
     @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9), (2, 16), (3, 9)])
