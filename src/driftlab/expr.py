@@ -8,7 +8,7 @@ products convolve them, and d/dx_a multiplies each a_m by i*m_a, so the
 class is closed under +, -, * and partial differentiation, in float
 arithmetic on the coefficients. Values at points, a 1D grid's too, sum
 half the spectrum (__call__); a grid of more axes contracts it one axis at
-a time (on_grid, slab_sampler); hold restricts f to held axes.
+a time (on_grid); hold restricts f to held axes.
 """
 from __future__ import annotations
 
@@ -27,6 +27,9 @@ _ZERO = (0,) * _NVARS  # the zero mode; m > _ZERO iff m's first nonzero entry is
 # integer frequencies from this magnitude up are not all exact as floats
 _MAX_FREQ = 2**53
 
+# on_grid samples a 1D grid this many angles at a time
+_CHUNK_POINTS = 2**15
+
 __all__ = [
     "TrigExpr",
     "ExprSyntaxError",
@@ -41,7 +44,8 @@ class TrigExpr:
 
     TrigExpr(pairs) is the expression with a_m = a and a_{-m} = conj(a)
     for each (m, a) of `pairs`, no two of which name the same +-m; a_0 is
-    taken real. TrigExpr() is zero.
+    taken real, and each a must be a number that is not a bool, else
+    ValueError. TrigExpr() is zero.
     """
 
     __slots__ = ("_coef",)
@@ -49,6 +53,8 @@ class TrigExpr:
     def __init__(self, pairs=()):
         coef = {}
         for m, a in pairs:
+            if not isinstance(a, numbers.Complex) or isinstance(a, bool):
+                raise ValueError("a coefficient must be a number, got %r" % (a,))
             if m == _ZERO:
                 a = complex(a.real)
             if a != 0:
@@ -62,6 +68,8 @@ class TrigExpr:
 
     @staticmethod
     def constant(value):
+        if not _is_real(value):
+            raise ValueError("a constant must be a real number, got %r" % (value,))
         return TrigExpr([(_ZERO, float(value))])
 
     def _half(self):
@@ -118,26 +126,61 @@ class TrigExpr:
             return float(acc)
         return acc
 
-    def on_grid(self, n, dim):
+    def on_grid(self, n, dim, out=None):
         """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
-        axis (the points of Grid(dim, n)), flattened row-major.
+        axis (the points of Grid(dim, n)), flattened row-major, written into
+        and returned in out if given: a C-contiguous float64 array of shape
+        (n**dim,). n must be an integer >= 1 and dim one in 1..3, else
+        ValueError.
 
-        This is slab_sampler(n, dim) filling every axis-0 slab at once, so
-        on_grid and a fill of the slabs in any blocks give the same bytes.
-        In 1D they are __call__ at grid_angles(n), bit for bit; on more axes
-        they agree with __call__ to a few rounding errors of sum |a_m|. n
-        must be an integer >= 1 and dim one in 1..3, else ValueError.
+        In 1D they are __call__ at grid_angles(n), bit for bit, taken
+        _CHUNK_POINTS angles at a time. On more axes they come from the
+        exact harmonics(dim), grouped by the last axis's frequency m_L: f =
+        Re sum over m_L >= 0 of g(x') e^{i m_L x_L}, with g the a_m (doubled
+        where m_L > 0) summed over the other axes against their e^{i m x}
+        tables, one small complex contraction per leading axis. The samples
+        are one BLAS product of the real weights [Re g, -Im g], a row per
+        point of the leading axes, with the [cos(m_L x); sin(m_L x)] table of
+        the last axis. They agree with __call__ to a few rounding errors of
+        sum |a_m|, and their last bit can depend on the number of BLAS threads.
         """
-        return self.slab_sampler(n, dim).fill(np.empty(n**dim), 0, n)
-
-    def slab_sampler(self, n, dim):
-        """The samples of on_grid, prepared once and then filled any range
-        of axis-0 slabs at a time (a _SlabSampler)."""
         if not _is_int(n) or n < 1:
             raise ValueError("n must be an integer >= 1, got %r" % (n,))
         if not _is_int(dim) or not 1 <= dim <= _NVARS:
             raise ValueError("dim must be an integer in 1..%d, got %r" % (_NVARS, dim))
-        return _SlabSampler(self, int(n), int(dim))
+        n, dim = int(n), int(dim)
+        harm = self.harmonics(dim)  # raises if the expression uses more than dim axes
+        if out is None:
+            out = np.empty(n**dim)
+        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                  and out.shape == (n**dim,) and out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array of shape (%d,)"
+                             % n**dim)
+        if dim == 1:
+            for i0 in range(0, n, _CHUNK_POINTS):
+                # the chunk holds the angles while __call__ reads them
+                chunk = out[i0:i0 + _CHUNK_POINTS]
+                chunk[:] = grid_angles(n, i0, i0 + chunk.size)
+                chunk[:] = self(chunk)
+            return out
+        # g holds the harmonics with m_L >= 0, doubled where m_L > 0, indexed
+        # by the frequencies present on each axis
+        half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
+        axes = [sorted({m[i] for m, _ in half}) for i in range(dim)]
+        g = np.zeros(tuple(map(len, axes)), dtype=complex)
+        for m, a in half:
+            g[tuple(f.index(k) for f, k in zip(axes, m))] = a
+        *leading, last = (np.array(f, dtype=float) for f in axes)
+        for freqs in leading:
+            angle = np.multiply.outer(grid_angles(n), freqs)
+            e = np.cos(angle) + 1j * np.sin(angle)
+            g = np.tensordot(g, e, axes=(0, 1))  # a frequency axis becomes a grid axis
+        g = g.reshape(last.size, n ** (dim - 1))
+        weights = np.concatenate([g.real, -g.imag]).T
+        angle = np.multiply.outer(last, grid_angles(n))
+        table = np.concatenate([np.cos(angle), np.sin(angle)])
+        np.matmul(weights, table, out=out.reshape(-1, n))
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -206,7 +249,7 @@ class TrigExpr:
     def harmonics(self, dim):
         """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
         expression holds, with the keys m cut to length dim; a_{-m} =
-        conj(a_m) exactly. slab_sampler, abs_sum and hold read them on each call."""
+        conj(a_m) exactly. on_grid, abs_sum and hold read them on each call."""
         if not _is_int(dim):
             raise ValueError("dim must be an integer, got %r" % (dim,))
         if self.nvars > dim:
@@ -271,70 +314,6 @@ def _signed_sum(parts):
         else:
             text = ("-" if value < 0 else "") + term
     return text
-
-
-class _SlabSampler:
-    """One field's samples on the (n,)*dim grid, row-major, filled a range
-    of axis-0 slabs at a time.
-
-    On two or more axes they come from the exact harmonics(dim), read when
-    the sampler is made, grouped by the last axis's frequency m_L. By the
-    Hermitian symmetry, f = Re sum over m_L >= 0 of g(x') e^{i m_L x_L},
-    with g the coefficients a_m (doubled where m_L > 0) summed over the
-    other axes against their e^{i m x} tables: a small complex contraction
-    per leading axis, made once and kept as the real weights [Re g, -Im g],
-    one row per point of the leading axes, beside the [cos(m_L x);
-    sin(m_L x)] table of the whole last axis. A fill is the real matrix
-    product of the weights of its slabs with that table, written into out.
-    """
-
-    __slots__ = ("_expr", "_n", "_dim", "_weights", "_table")
-
-    def __init__(self, expr, n, dim):
-        self._expr, self._n, self._dim = expr, n, dim
-        harm = expr.harmonics(dim)  # raises if expr uses more than dim axes
-        if dim == 1:
-            return
-        # g holds the harmonics(dim) `harm` with m_L >= 0, doubled where
-        # m_L > 0, indexed by the frequencies present on each axis
-        half = [(m, a if m[-1] == 0 else 2 * a) for m, a in harm.items() if m[-1] >= 0]
-        axes = [sorted({m[i] for m, _ in half}) for i in range(dim)]
-        g = np.zeros(tuple(map(len, axes)), dtype=complex)
-        for m, a in half:
-            g[tuple(f.index(k) for f, k in zip(axes, m))] = a
-        *leading, last = (np.array(f, dtype=float) for f in axes)
-        for freqs in leading:
-            angle = np.multiply.outer(grid_angles(n), freqs)
-            e = np.cos(angle) + 1j * np.sin(angle)
-            g = np.tensordot(g, e, axes=(0, 1))  # a frequency axis becomes a grid axis
-        g = g.reshape(last.size, n ** (dim - 1))
-        self._weights = np.concatenate([g.real, -g.imag]).T
-        angle = np.multiply.outer(last, grid_angles(n))
-        self._table = np.concatenate([np.cos(angle), np.sin(angle)])
-
-    def fill(self, out, i0, i1):
-        """Write the samples of the axis-0 slabs i0 <= i < i1 into out, a
-        C-contiguous float64 array of (i1 - i0)*n**(dim-1) elements, and
-        return it."""
-        n = self._n
-        if self._dim == 1:
-            # a slab is one point; out holds the angles while __call__
-            # reads them, so no second array of block length stays alive
-            out[:] = grid_angles(n, i0, i1)
-            out[:] = self._expr(out)
-            return out
-        per_slab = n ** (self._dim - 2)
-        w0, w1 = i0 * per_slab, i1 * per_slab
-        rows = out.reshape(-1, n)
-        if w1 - w0 == 1:
-            # numpy takes a product with one row to gemv, which rounds
-            # otherwise than the matrix product over all rows that gives
-            # on_grid's bytes, so one row of weights goes with a second if any
-            p0 = max(0, min(w0, len(self._weights) - 2))
-            rows[:] = (self._weights[p0:p0 + 2] @ self._table)[w0 - p0]
-        else:
-            np.matmul(self._weights[w0:w1], self._table, out=rows)
-        return out
 
 
 def _is_int(value):

@@ -9,17 +9,17 @@ no row index map is stored.
 Assembly and the mat-vec walk the grid in the same blocks of whole axis-0
 slabs, at most BLOCK_ROWS rows each (_slab_blocks), so that a block's rows
 stay in cache while all the work on them is done. Assembly first checks a
-bound on every coefficient from the fields' harmonics. Then, per block, it
-samples c into the diagonal and each b_a into the x - h*e_a coefficients
-(TrigExpr.slab_sampler) and builds the upwind stencil there in place. The
-mat-vec, in each block, multiplies each neighbour's coefficients by x read
-at that flat shift, fixes the wrapped rows through a grid view, and sums the
-neighbour terms in a fixed order, so its result is deterministic and does
-not depend on the blocks. Upwind advection keeps every off-diagonal entry
-nonnegative for any eps and h, which is what gives the discrete operator a
-real simple leading eigenvalue with a positive eigenvector. Every operator,
-assembled or built from arrays, checks that on its off array: min_offdiag
-is the least entry there, read each time it is asked for.
+bound on every coefficient from the fields' harmonics. Then it samples c
+into the diagonal and each b_a into the x - h*e_a coefficients
+(TrigExpr.on_grid), and per block builds the upwind stencil there in place.
+The mat-vec, in each block, multiplies each neighbour's coefficients by x
+read at that flat shift, fixes the wrapped rows through a grid view, and
+sums the neighbour terms in a fixed order, so its result is deterministic
+and does not depend on the blocks. Upwind advection keeps every off-diagonal
+entry nonnegative for any eps and h, which is what gives the discrete
+operator a real simple leading eigenvalue with a positive eigenvector. Every
+operator, assembled or built from arrays, checks that on its off array:
+min_offdiag is the least entry there, read each time it is asked for.
 
 On a 1D grid the stencil is a periodic tridiagonal matrix, and for sigma
 above every row sum sigma - A is a nonsingular M-matrix. The operator
@@ -30,7 +30,6 @@ after the checks that make the solver's bracket valid and its memory guard.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -229,7 +228,7 @@ def _line_aligned_empty(size):
     multiply into an output that does not start a line ran at about half
     speed (32,768 rows: 22 vs 11 us on an AVX-512 Xeon)."""
     buf = np.empty(size + 7)
-    lead = -(ctypes.addressof(ctypes.c_char.from_buffer(buf)) // 8) % 8
+    lead = -(buf.__array_interface__["data"][0] // 8) % 8
     return buf[lead:lead + size]
 
 
@@ -419,22 +418,21 @@ def assemble(scenario, grid, eps):
     if not math.isfinite(bound * OVERFLOW_MARGIN):
         raise CoefficientOverflowError(
             "c and b/h reach %r, past the float range" % bound)
-    # each field's sampler holds its contraction over the leading axes; the
-    # samples themselves go straight into diag and off, one block at a time
-    c = scenario.c.slab_sampler(n, dim)
-    drifts = [b.slab_sampler(n, dim) for b in scenario.b]
-    slab = grid.size // n
-    diag = np.empty(grid.size)
+    # the samples go straight into diag and off, then the stencil is built
+    # over them one block at a time
+    diag = scenario.c.on_grid(n, dim)
     off = np.empty((2 * dim, grid.size))
+    for a, b in enumerate(scenario.b):
+        b.on_grid(n, dim, out=off[2 * a + 1])
+    slab = grid.size // n
     for i0, i1 in _slab_blocks(grid):
         rows = slice(i0 * slab, i1 * slab)
-        block = c.fill(diag[rows], i0, i1)
+        block = diag[rows]
         block += -2.0 * dim * lap
-        for a, b in enumerate(drifts):
+        for a in range(dim):
             # with t = b/h, max(t, 0) is max(b, 0)/h and max(-t, 0) is
             # max(-b, 0)/h exactly; one of the two is 0 in each row
-            up = off[2 * a, rows]
-            t = b.fill(off[2 * a + 1, rows], i0, i1)
+            up, t = off[2 * a, rows], off[2 * a + 1, rows]
             t /= h
             np.maximum(t, 0.0, out=up)
             block -= up

@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 
+from driftlab.eigen import principal_eigenpair
+from driftlab.operator import Grid, assemble
 from driftlab.scenario import load_scenario
 
 # a 3D sink: one attracting point at 0, the 3D case of the solver and
@@ -78,6 +80,22 @@ def fourier_principal(scenario, eps, K):
         square += m.astype(float) ** 2
     M = M + convolution(scenario.c) - eps * np.diag(square)
     return float(np.max(np.linalg.eigvals(M).real))
+
+
+def separable_principal(parts, n, eps):
+    """Oracle: (lam, u) of the upwind operator on the (n,)*dim grid of a
+    scenario whose b_a depends on x_a alone and whose c is a sum of parts
+    c_a(x_a). Its stencil is then the Kronecker sum of the 1D stencils of
+    `parts`, one 1D scenario per axis with b_a and c_a written in x1, so lam
+    is the sum of their principal values and u the Kronecker product of
+    their vectors, row-major with x1 slowest."""
+    lam, u = 0.0, np.ones(1)
+    for part in parts:
+        pair = principal_eigenpair(assemble(part, Grid(1, n), eps))
+        assert pair.certified
+        lam += pair.lam
+        u = np.kron(u, pair.u)
+    return lam, u
 
 
 def l2_normalize(v, h, dim):

@@ -121,3 +121,16 @@ def test_only_expr_knows_what_a_number_is():
         if "numbers" in imported_modules(path):
             spelled.append("%s imports numbers" % path.name)
     assert spelled == []
+
+
+def test_operator_samples_fields_only_through_on_grid():
+    # one grid sampler: of TrigExpr's public methods, assembly names only
+    # on_grid, for the samples, and abs_sum, for the overflow bound
+    src = ROOT / "src" / "driftlab"
+    trig = next(node for node in ast.parse((src / "expr.py").read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == "TrigExpr")
+    public = {node.name for node in trig.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    named = {node.attr for node in ast.walk(ast.parse((src / "operator.py").read_text()))
+             if isinstance(node, ast.Attribute)}
+    assert "on_grid" in public and sorted(named & public) == ["abs_sum", "on_grid"]

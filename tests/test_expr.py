@@ -330,7 +330,17 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: GRID_FIELD.on_grid(0, 2), ValueError, "n must be an integer >= 1"),
     (lambda: GRID_FIELD.on_grid(4.0, 2), ValueError, "n must be an integer >= 1"),
     (lambda: GRID_FIELD.on_grid(True, 2), ValueError, "n must be an integer >= 1"),
-    (lambda: GRID_FIELD.slab_sampler(-3, 1), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.on_grid(-3, 1), ValueError, "n must be an integer >= 1"),
+    (lambda: GRID_FIELD.on_grid(8, 2, out=np.empty(65)), ValueError, r"shape \(64,\)"),
+    (lambda: GRID_FIELD.on_grid(8, 2, out=np.empty(64, np.float32)), ValueError,
+     "C-contiguous float64"),
+    (lambda: GRID_FIELD.on_grid(8, 2, out=np.empty(128)[::2]), ValueError,
+     "C-contiguous float64"),
+    (lambda: GRID_FIELD.on_grid(8, 2, out=[0.0] * 64), ValueError, "C-contiguous float64"),
+    (lambda: TrigExpr.constant(True), ValueError, "must be a real number"),
+    (lambda: TrigExpr.constant("1.5"), ValueError, "must be a real number"),
+    (lambda: TrigExpr([((1, 0, 0), True)]), ValueError, "must be a number"),
+    (lambda: TrigExpr([((1, 0, 0), "1.5")]), ValueError, "must be a number"),
     (lambda: GRID_FIELD.hold([(3, 0.0)]), ValueError, "hold needs axes in 0..2"),
     (lambda: GRID_FIELD.hold([(-1, 0.0)]), ValueError, "hold needs axes in 0..2"),
     (lambda: GRID_FIELD.hold([(True, 0.0)]), ValueError, "hold needs axes in 0..2"),
@@ -343,7 +353,9 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
         "bool-times", "harmonics-dim",
         "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
         "bare-variable", "on-grid-dim-4", "on-grid-dim-0", "on-grid-dim-bool",
-        "on-grid-n-0", "on-grid-n-float", "on-grid-n-bool", "slab-sampler-n-negative",
+        "on-grid-n-0", "on-grid-n-float", "on-grid-n-bool", "on-grid-n-negative",
+        "on-grid-out-shape", "on-grid-out-float32", "on-grid-out-strided", "on-grid-out-list",
+        "constant-bool", "constant-string", "coefficient-bool", "coefficient-string",
         "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",
         "hold-angle-inf", "hold-angle-string", "hold-axis-repeated"])
 def test_errors(call, error, match):

@@ -132,25 +132,15 @@ class TestOnGrid:
             for dim in range(max(f.nvars, 1), 4):
                 assert_on_grid_matches_pointwise(f, dim, n)
 
-    @pytest.mark.parametrize("dim, n", [(1, 33), (2, 9), (2, 16), (3, 9)])
-    def test_equals_slab_fills_over_any_blocks(self, dim, n):
-        # the fills of any partition of the axis-0 slabs into blocks, one
-        # slab blocks included, write on_grid's bytes
-        rng = np.random.default_rng(dim * 100 + n)
-        fields = [f for s in FIELD_CASES for f in all_fields(s)] + EXTRA_FIELDS
-        slab = n ** (dim - 1)
-        for f in fields:
+    @pytest.mark.parametrize("dim, n", [(1, 33), (1, 2**15 + 3), (2, 9), (3, 9)])
+    def test_out_receives_the_samples(self, dim, n):
+        # out selects where the samples go, not what they are
+        for f in [parse_expr("sin(x1 - 2*x2) + 3"), parse_expr("cos(x1)")]:
             if f.nvars > dim:
                 continue
-            want = f.on_grid(n, dim)
-            sampler = f.slab_sampler(n, dim)
-            for cuts in ([1], list(range(1, n)),
-                         sorted(rng.choice(np.arange(1, n), 3, replace=False))):
-                got = np.full(n**dim, np.nan)
-                for i0, i1 in zip([0, *cuts], [*cuts, n]):
-                    block = got[i0 * slab:i1 * slab]
-                    assert sampler.fill(block, i0, i1) is block
-                np.testing.assert_array_equal(bits(got), bits(want), str(f))
+            out = np.full(n**dim, np.nan)
+            assert f.on_grid(n, dim, out=out) is out
+            np.testing.assert_array_equal(bits(out), bits(f.on_grid(n, dim)), str(f))
 
     @pytest.mark.parametrize("n", [1, 2, 8, 33, 4097])
     def test_1d_is_pointwise_bitwise(self, n):
@@ -162,7 +152,7 @@ class TestOnGrid:
                                           str(f))
 
     def test_one_point_grid_is_the_origin(self):
-        # one point has one row of weights, with no second row to pair it with
+        # one point has one row of weights and one table column
         for f in [parse_expr("cos(x1) + 0.5*sin(2*x2)"), *EXTRA_FIELDS]:
             for dim in range(max(f.nvars, 1), 4):
                 got = f.on_grid(1, dim)
@@ -263,13 +253,18 @@ class TestAssembleStencil:
         (builtin_scenario("stable-point"), 12289, 5000, 3),
         (scenario_from_dict(SINK_3D), 9, 200, 5),
         (scenario_from_dict(SINK_3D), 9, 50, 9),
+        (builtin_scenario("mixed"), 477, operator.BLOCK_ROWS, 8),
+        (builtin_scenario("mixed"), 993, operator.BLOCK_ROWS, 32),
+        (builtin_scenario("mixed"), 477, 3000, 80),
     ], ids=["2d-partial", "2d-odd", "2d-odd-partial", "1d-partial",
-            "3d-odd", "3d-slab-past-block"])
+            "3d-odd", "3d-slab-past-block", "2d-477", "2d-993", "2d-477-small-blocks"])
     def test_in_blocks_matches_reference_bitwise(self, monkeypatch, s, n, block_rows,
                                                  blocks):
         # assembly walks apply's blocks: a partial last block (of one slab
-        # in 2d-partial), odd n, a 1D grid of odd length in three blocks,
-        # and one 3D slab per block where a slab exceeds BLOCK_ROWS
+        # in 2d-partial and 2d-477), odd n, a 1D grid of odd length in three
+        # blocks, and one 3D slab per block where a slab exceeds BLOCK_ROWS;
+        # the samples do not depend on the blocks, at sizes where samples
+        # taken a block at a time rounded otherwise than whole-grid ones
         monkeypatch.setattr(operator, "BLOCK_ROWS", block_rows)
         g = Grid(s.dim, n)
         assert len(operator._slab_blocks(g)) == blocks
@@ -319,8 +314,9 @@ class TestAssembleStencil:
     ], ids=["1d", "2d", "3d"])
     def test_peak_memory(self, s, n):
         # the operator itself is 2*dim + 1 rows; the fields are sampled
-        # straight into it a block at a time, so assembly adds a few block
-        # rows, not one row of the grid (here 8 blocks)
+        # straight into it, and the stencil built a block at a time, so
+        # assembly adds a few block rows, not one row of the grid (here 8
+        # blocks)
         g = Grid(s.dim, n)
         tracemalloc.start()
         try:
@@ -436,6 +432,15 @@ class TestAssembleStencil:
             split = SparseOperator(op.grid, op.diag, op.off)
             assert len(split._plan) == blocks
             np.testing.assert_array_equal(bits(split.apply(x)), bits(want))
+
+    @pytest.mark.parametrize("n", [8, 9, 65, 181])
+    def test_rows_start_a_cache_line(self, n):
+        # _line_aligned_empty's rows and apply's default out start a 64-byte line
+        op = assemble(builtin_scenario("mixed"), Grid(2, n), 0.1)
+        rows = [operator._line_aligned_empty(size) for size in (n, n * n)]
+        rows.append(op.apply(np.ones(n * n)))
+        assert [(r.shape, r.ctypes.data % 64) for r in rows] == [
+            ((n,), 0), ((n * n,), 0), ((n * n,), 0)]
 
     def test_apply_allocates_no_grid_row(self):
         # 262,144 rows in 8 blocks: apply into out needs only views, and the
@@ -588,8 +593,7 @@ class TestCoefficientOverflow:
         # |b|/h reaches 1e308*64/(2*pi) and c reaches 2e308: neither is a float
         s = bare_scenario(1, b, c)
         passes = []
-        for name in ("on_grid", "slab_sampler"):
-            monkeypatch.setattr(TrigExpr, name, lambda *args, **kw: passes.append(args))
+        monkeypatch.setattr(TrigExpr, "on_grid", lambda *args, **kw: passes.append(args))
         with pytest.raises(CoefficientOverflowError):
             assemble(s, Grid(1, 64), 0.1)
         assert passes == []
