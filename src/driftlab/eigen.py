@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DriftlabError, ScheduleError
-from .expr import _is_int, _is_real
+from .expr import _is_int, _is_real, _real_array
 from .operator import Grid, assemble
 
 __all__ = [
@@ -65,7 +65,8 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     lam_hi] is at most tol*max(1, |lam|) wide, for 0 < tol < inf. Arnoldi
     iterates the step op._perron_step gives, any map with A's Perron vector:
     op.apply on a 2D or 3D grid, on a 1D grid a solve with (sigma - A).
-    lam, the residual and the bracket come from one apply of A at u. x0 is
+    lam, the residual and the bracket come from one apply of A at u. x0,
+    N real numbers as _real_array reads them, finite and not all zero, is
     checked before the step is made, and so before the step's checks of op.
     `iterations` counts the steps and the one op.apply per _certify, at most
     max_iter of them. A run ends when they run out, or when STALL_CYCLES
@@ -81,9 +82,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     """
     _check_budget(tol, max_iter)
     size = op.grid.size
-    if np.iscomplexobj(x0):
-        raise ValueError("x0 must be real")
-    x = np.ones(size) if x0 is None else np.asarray(x0, dtype=float)
+    x = np.ones(size) if x0 is None else _real_array(x0, "x0")
     if x.shape != (size,):
         raise ValueError("x0 has wrong length")
     top = float(np.max(np.abs(x)))

@@ -30,6 +30,10 @@ _MAX_FREQ = 2**53
 # on_grid samples a 1D grid this many angles at a time
 _CHUNK_POINTS = 2**15
 
+# parse_expr refuses a sum or product of more harmonics than this: each
+# factor of a product can double them, so a short text could ask for millions
+_MAX_HARMONICS = 2**12
+
 __all__ = [
     "TrigExpr",
     "ExprSyntaxError",
@@ -104,15 +108,14 @@ class TrigExpr:
         bit for bit. The angle m.x takes only the axes with m_a != 0, so on
         an open mesh (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on
         n points. The arithmetic per element is the same for any shape.
+        The coordinates, from nvars to three of them, are each real numbers
+        as _real_array reads them, else ValueError; a point gives a float.
         """
         nv = self.nvars
-        if len(coords) < nv:
-            raise ValueError(
-                "expression uses x%d but only %d coordinates given"
-                % (nv, len(coords))
-            )
-        scalar_in = all(np.ndim(c) == 0 for c in coords)
-        arrs = [np.asarray(c, dtype=float) for c in coords]
+        if not nv <= len(coords) <= _NVARS:
+            raise ValueError("%d coordinates given; the expression uses x%d and takes"
+                             " at most %d" % (len(coords), nv, _NVARS))
+        arrs = [_real_array(c, "x%d" % (i + 1)) for i, c in enumerate(coords)]
         shape = np.broadcast_shapes(*(a.shape for a in arrs)) if arrs else ()
         acc = np.zeros(shape)
         for m, a in self._half():
@@ -122,9 +125,7 @@ class TrigExpr:
                 acc += g.real * np.cos(angle)
             if g.imag:
                 acc -= g.imag * np.sin(angle)
-        if scalar_in:
-            return float(acc)
-        return acc
+        return float(acc) if acc.ndim == 0 else acc
 
     def on_grid(self, n, dim, out=None):
         """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
@@ -152,10 +153,8 @@ class TrigExpr:
         harm = self.harmonics(dim)  # raises if the expression uses more than dim axes
         if out is None:
             out = np.empty(n**dim)
-        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                  and out.shape == (n**dim,) and out.flags.c_contiguous):
-            raise ValueError("out must be a C-contiguous float64 array of shape (%d,)"
-                             % n**dim)
+        else:
+            _check_row(out, (n**dim,), "out")
         if dim == 1:
             for i0 in range(0, n, _CHUNK_POINTS):
                 # the chunk holds the angles while __call__ reads them
@@ -326,6 +325,28 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real_array(value, name):
+    """value as a float64 array, with no copy when it is one already: an
+    array or sequence of numpy integer or floating kind, or a number that
+    _is_real accepts. Anything else (bool, complex, str, bytes, None,
+    object) raises ValueError naming the argument."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        if not _is_real(value):  # a Fraction is a number numpy holds as an object
+            raise ValueError("%s must be real numbers, got dtype %s" % (name, arr.dtype))
+        arr = np.asarray(float(value))
+    return arr.astype(float, copy=False)
+
+
+def _check_row(arr, shape, name):
+    """Raise ValueError unless arr is a C-contiguous float64 ndarray of
+    exactly this shape: an array that is read or written in place."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.shape == shape and arr.flags.c_contiguous):
+        raise ValueError("%s must be a C-contiguous float64 array of shape %s"
+                         % (name, shape))
+
+
 def grid_angles(n, lo=0, hi=None):
     """The angles 2*pi*j/n of an n-point grid axis, for lo <= j < hi (all n
     by default): the points of Grid.axis and of on_grid."""
@@ -387,7 +408,11 @@ class _Tokens:
 
 
 def parse_expr(text):
-    """Parse expression text into a TrigExpr; raises ExprSyntaxError."""
+    """Parse expression text into a TrigExpr; raises ExprSyntaxError. A sum
+    or product that takes a coefficient out of range (TrigExpr.in_range)
+    or holds more than _MAX_HARMONICS harmonics raises at the offset of the
+    operand that did it, so a text's time and memory grow with its length,
+    not exponentially."""
     if not isinstance(text, str):
         raise TypeError("expression must be a string")
     ts = _Tokens(text)
@@ -398,17 +423,28 @@ def parse_expr(text):
 
 
 def _parse_sum(ts):
-    sign = 1.0
+    """The terms' half spectra added into one map, in the order and with the
+    rounding of TrigExpr's +; after each term only the entries it changed
+    need the in_range check, so a sum takes time linear in its terms."""
+    half = {}
+    op = "+"
     if ts.peek() == ("op", "-"):
         ts.take()
-        sign = -1.0
-    expr = sign * _parse_term(ts)
-    while ts.peek() in (("op", "+"), ("op", "-")):
-        (_, op), _ = ts.take()
+        op = "-"
+    while True:
         pos = ts.tok_pos
-        t = _parse_term(ts)
-        expr = _in_range(expr + t if op == "+" else expr - t, pos)
-    return expr
+        for m, a in _parse_term(ts)._half():
+            a = half.get(m, 0j) + (a if op == "+" else -a)
+            if not cmath.isfinite(a if m == _ZERO else 2 * a):
+                raise ExprSyntaxError("coefficient out of range", pos)
+            if a:
+                half[m] = a
+            else:  # a cancelled harmonic leaves the map, as in TrigExpr's +
+                del half[m]
+        _check_size(2 * len(half) - (_ZERO in half), pos)  # -m beside each m > 0
+        if ts.peek() not in (("op", "+"), ("op", "-")):
+            return TrigExpr(half.items())
+        (_, op), _ = ts.take()
 
 
 def _parse_term(ts):
@@ -416,16 +452,18 @@ def _parse_term(ts):
     while ts.peek() == ("op", "*"):
         ts.take()
         pos = ts.tok_pos
-        expr = _in_range(expr * _parse_factor(ts), pos)
+        expr = expr * _parse_factor(ts)
+        if not expr.in_range():
+            raise ExprSyntaxError("coefficient out of range", pos)
+        _check_size(len(expr._coef), pos)
     return expr
 
 
-def _in_range(expr, pos):
-    """expr, unless combining values at pos took a coefficient out of range
-    (TrigExpr.in_range)."""
-    if not expr.in_range():
-        raise ExprSyntaxError("coefficient out of range", pos)
-    return expr
+def _check_size(harmonics, pos):
+    """Refuse a sum or product that holds more than _MAX_HARMONICS harmonics
+    once the operand at pos is combined."""
+    if harmonics > _MAX_HARMONICS:
+        raise ExprSyntaxError("more than %d harmonics" % _MAX_HARMONICS, pos)
 
 
 def _parse_factor(ts):

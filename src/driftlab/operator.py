@@ -6,13 +6,13 @@ numbered row-major on the (n,)*dim grid, so a neighbour along axis a sits
 n**(dim-1-a) rows away in flat memory except where it wraps around the torus;
 no row index map is stored.
 
-Assembly and the mat-vec walk the grid in the same blocks of whole axis-0
-slabs, at most BLOCK_ROWS rows each (_slab_blocks), so that a block's rows
-stay in cache while all the work on them is done. Assembly first checks a
-bound on every coefficient from the fields' harmonics. Then it samples c
-into the diagonal and each b_a into the x - h*e_a coefficients
-(TrigExpr.on_grid), and per block builds the upwind stencil there in place.
-The mat-vec, in each block, multiplies each neighbour's coefficients by x
+Assembly first checks a bound on every coefficient from the fields'
+harmonics. Then it samples the whole of c into the diagonal and of each b_a
+into the x - h*e_a coefficients (TrigExpr.on_grid), and builds the upwind
+stencil there in place. That pass and the mat-vec walk the grid in the same
+blocks of whole axis-0 slabs, at most BLOCK_ROWS rows each (_slab_blocks),
+so that a block's rows stay in cache while either works on them. The
+mat-vec, in each block, multiplies each neighbour's coefficients by x
 read at that flat shift, fixes the wrapped rows through a grid view, and
 sums the neighbour terms in a fixed order, so its result is deterministic
 and does not depend on the blocks. Upwind advection keeps every off-diagonal
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
                      NotIrreducibleError)
-from .expr import _is_int, _is_real, grid_angles
+from .expr import _check_row, _is_int, _is_real, _real_array, grid_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,12 +135,8 @@ class SparseOperator:
     """
 
     def __init__(self, grid, diag, off):
-        size = grid.size
-        for name, arr, shape in (("diag", diag, (size,)), ("off", off, (2 * grid.dim, size))):
-            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                    and arr.shape == shape and arr.flags.c_contiguous):
-                raise ValueError("%s must be a C-contiguous float64 array of shape %s"
-                                 % (name, shape))
+        _check_row(diag, (grid.size,), "diag")
+        _check_row(off, (2 * grid.dim, grid.size), "off")
         self.__dict__.update(grid=grid,
                              diag=diag,  # (N,)
                              off=off,  # (2*dim, N) neighbour coefficients
@@ -160,22 +156,21 @@ class SparseOperator:
         return self.min_offdiag >= 0.0
 
     def apply(self, x, out=None):
+        """A x, into out if given (a C-contiguous float64 array of shape (N,)
+        that overlaps neither x nor the stencil), else into a new row. x is
+        N real numbers as _real_array reads them, else ValueError."""
         size = self.grid.size
-        x = np.asarray(x)
-        if x.dtype.kind == "c":
-            raise ValueError("x must be real, got dtype %s" % x.dtype)
-        x = x.astype(float, copy=False)
+        x = _real_array(x, "x")
         if x.shape != (size,):
             raise ValueError("vector length %d, expected %d" % (x.size, size))
         if out is None:
             out = _line_aligned_empty(size)
-        elif (not isinstance(out, np.ndarray) or out.shape != (size,)
-              or out.dtype != np.float64):
-            raise ValueError("out must be a float64 array of shape (%d,)" % size)
-        elif np.may_share_memory(out, x):
-            raise ValueError("out must not overlap x")
-        elif np.may_share_memory(out, self.diag) or np.may_share_memory(out, self.off):
-            raise ValueError("out must not overlap the operator's diag or off")
+        else:
+            _check_row(out, (size,), "out")
+            if np.may_share_memory(out, x):
+                raise ValueError("out must not overlap x")
+            if np.may_share_memory(out, self.diag) or np.may_share_memory(out, self.off):
+                raise ValueError("out must not overlap the operator's diag or off")
         grid_x = x.reshape((self.grid.n,) * self.grid.dim)
         for rows, diag, term, terms in self._plan:
             block = out[rows]

@@ -11,7 +11,7 @@ every axis, with flow 0; a cycle the axes across it at its level, with flow
 2*pi/period along its axis; a torus none, with flow k. Validation reads every
 kind through those fields, bounds a field on all of a component from its
 restriction there (TrigExpr.hold), and reports residuals without mutating
-anything. A component's distance(coords) takes one array per axis,
+anything. A component's distance(coords) takes one real array per axis,
 broadcastable, as Grid.open_mesh returns them, and returns their shape.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .diophantine import check_declared_bound, is_irrational
 from .errors import ScenarioFormatError
-from .expr import _is_int, _is_real, parse_expr
+from .expr import _is_int, _is_real, _real_array, parse_expr
 from .operator import TWO_PI, Grid
 
 # |Re eigenvalue| below this is treated as a zero real part (not hyperbolic)
@@ -99,6 +99,7 @@ class Component:
         return bool(np.all(np.real(np.linalg.eigvals(self.normal)) < 0))
 
     def distance(self, coords):
+        coords = [_real_array(x, "coords") for x in coords]
         d2 = sum(periodic_delta(coords[a] - x) ** 2 for a, x in self.held)
         return np.broadcast_to(np.sqrt(d2), np.broadcast_shapes(*map(np.shape, coords)))
 

@@ -134,3 +134,18 @@ def test_operator_samples_fields_only_through_on_grid():
     named = {node.attr for node in ast.walk(ast.parse((src / "operator.py").read_text()))
              if isinstance(node, ast.Attribute)}
     assert "on_grid" in public and sorted(named & public) == ["abs_sum", "on_grid"]
+
+
+def test_only_expr_reads_array_dtypes():
+    # expr._real_array and expr._check_row hold the rule for an array
+    # argument: no other module reads a dtype or flags, converts with
+    # astype or asks iscomplexobj
+    reads = []
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        reads += ["%s:%d %s" % (path.name, node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("dtype", "flags", "astype", "iscomplexobj")]
+    assert reads == []

@@ -1,5 +1,7 @@
 import math
 import struct
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +144,59 @@ class TestParseErrors:
         assert ei.value.offset == 8
 
 
+def doubling_product(factors):
+    """cos(x1)*cos(2*x1)*cos(4*x1)*...: each factor doubles the harmonics."""
+    return "*".join("cos(%d*x1)" % 2**i for i in range(factors))
+
+
+class TestParseBounds:
+    def test_product_past_the_harmonic_bound(self):
+        # each factor doubles the harmonics: 12 hold 4,096, the bound, and the
+        # 13th factor is refused before the product grows further
+        assert len(parse_expr(doubling_product(12)).harmonics(1)) == 4096
+        text = doubling_product(16)
+        with pytest.raises(ExprSyntaxError, match="more than 4096 harmonics") as ei:
+            parse_expr(text)
+        assert ei.value.offset == text.index("cos(4096*x1)")
+
+    def test_sum_past_the_harmonic_bound(self):
+        text = " + ".join("cos(%d*x1)" % k for k in range(1, 2049))
+        assert len(parse_expr(text).harmonics(1)) == 4096
+        with pytest.raises(ExprSyntaxError, match="more than 4096 harmonics") as ei:
+            parse_expr(text + " - 2")
+        assert ei.value.offset == len(text) + 3
+
+    def test_long_sum_is_linear(self):
+        # each term is added into one map, not into a rebuilt copy of the sum;
+        # the terms hold distinct harmonics, so their sum is their union
+        terms = ["%r*cos(%d*x1 + %r)" % (1 + k / 7, k, k / 3) for k in range(1, 2048)]
+        text = " + ".join(terms)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            got = parse_expr(text)
+            seconds.append(time.perf_counter() - t0)
+        assert min(seconds) < 0.5
+        assert len(got.harmonics(1)) == 4094
+        assert got == TrigExpr(item for t in terms for item in parse_expr(t)._half())
+
+    def test_sum_equals_adding_terms_one_by_one(self):
+        # the same rounding and cancellations as TrigExpr's + and -
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            pool = ["%r*cos(%d*x1 + %d*x2 + %r)*sin(%d*x2)" % (
+                rng.random(), *rng.integers(3, size=2), 3 * rng.random(), rng.integers(3))
+                for _ in range(5)] + ["0.5", "1e-300*cos(x1)"]
+            ops = rng.choice(["+", "-"], size=40)
+            picks = [pool[i] for i in rng.integers(len(pool), size=40)]
+            text = ("-" if ops[0] == "-" else "") + picks[0]
+            want = -parse_expr(picks[0]) if ops[0] == "-" else parse_expr(picks[0])
+            for op, term in zip(ops[1:], picks[1:]):
+                text += " %s %s" % (op, term)
+                want = want + parse_expr(term) if op == "+" else want - parse_expr(term)
+            assert parse_expr(text) == want, text
+
+
 class TestRoundTrip:
     def test_randomized_print_parse(self):
         rng = np.random.default_rng(7042)
@@ -230,6 +285,22 @@ class TestPeriodicityAndEval:
     def test_extra_coordinates_allowed(self):
         e = parse_expr("cos(x1)")
         assert e(0.0, 5.0) == pytest.approx(1.0)
+
+    def test_numeric_coordinates_accepted(self):
+        # numpy integer and float arrays and scalars, Fractions, lists of
+        # floats and 0-d arrays read as float64; a point gives a float
+        e = parse_expr("cos(x1) + 0.5*sin(2*x2)")
+        x = np.array([0.25, 1.5, 3.0])
+        want = e(x, x)
+        np.testing.assert_array_equal(e(list(x), x), want)
+        np.testing.assert_array_equal(e(np.arange(3), x), e(np.arange(3.0), x))
+        x32 = x.astype(np.float32)
+        np.testing.assert_array_equal(e(x32, x32), e(x32.astype(float), x32.astype(float)))
+        point = e(0.25, 1.0)
+        for args in [(np.float64(0.25), np.int64(1)), (Fraction(1, 4), 1),
+                     (np.array(0.25), np.array(1.0)), (np.float32(0.25), np.uint8(1))]:
+            got = e(*args)
+            assert type(got) is float and got == point
 
     def test_missing_coordinates_rejected(self):
         e = parse_expr("cos(x2)")
@@ -348,6 +419,15 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: GRID_FIELD.hold([(1, math.inf)]), ValueError, "finite angles"),
     (lambda: GRID_FIELD.hold([(1, "0.5")]), ValueError, "finite angles"),
     (lambda: GRID_FIELD.hold([(0, 0.0), (0, math.pi)]), ValueError, "each axis at most once"),
+    (lambda: GRID_FIELD(None, 0.0), ValueError, "x1 must be real"),
+    (lambda: GRID_FIELD("1.0", 0.0), ValueError, "x1 must be real"),
+    (lambda: GRID_FIELD(b"1.0", 0.0), ValueError, "x1 must be real"),
+    (lambda: GRID_FIELD(0.0, True), ValueError, "x2 must be real"),
+    (lambda: GRID_FIELD(np.zeros(3, dtype=bool), 0.0), ValueError, "x1 must be real"),
+    (lambda: GRID_FIELD(0.0, 1.0 + 0j), ValueError, "x2 must be real"),
+    (lambda: GRID_FIELD(np.zeros(3, dtype=complex), 0.0), ValueError, "x1 must be real"),
+    (lambda: GRID_FIELD(np.array([1.0, None]), 0.0), ValueError, "x1 must be real"),
+    (lambda: parse_expr("cos(x1)")(0.0, 1.0, 2.0, 3.0), ValueError, "at most 3"),
 ], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "derivative-axis-bool",
         "derivative-axis-float", "harmonics-dim-bool", "abs-sum-dim-float", "add-bool",
         "bool-times", "harmonics-dim",
@@ -357,7 +437,9 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
         "on-grid-out-shape", "on-grid-out-float32", "on-grid-out-strided", "on-grid-out-list",
         "constant-bool", "constant-string", "coefficient-bool", "coefficient-string",
         "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",
-        "hold-angle-inf", "hold-angle-string", "hold-axis-repeated"])
+        "hold-angle-inf", "hold-angle-string", "hold-axis-repeated", "call-none",
+        "call-string", "call-bytes", "call-bool", "call-bool-array", "call-complex",
+        "call-complex-array", "call-object-array", "call-four-coordinates"])
 def test_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

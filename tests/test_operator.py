@@ -481,8 +481,10 @@ class TestAssembleStencil:
         np.testing.assert_array_equal(op.off, off)
 
     @pytest.mark.parametrize("out", [np.empty(257), np.empty(255), np.empty((1, 256)),
-                                     [0.0] * 256], ids=["long", "short", "2d", "list"])
+                                     [0.0] * 256, np.zeros(512)[::2]],
+                             ids=["long", "short", "2d", "list", "strided"])
     def test_apply_rejects_out_of_wrong_shape(self, out):
+        # out is written in place, so it must be C-contiguous, as on_grid's is
         op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
         with pytest.raises(ValueError, match="out"):
             op.apply(np.ones(op.grid.size), out=out)
@@ -492,7 +494,8 @@ class TestAssembleStencil:
         # a float32 out would round the result, an int64 one cannot hold it
         op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
         out = np.zeros(op.grid.size, dtype=dtype)
-        with pytest.raises(ValueError, match="out must be a float64"):
+        with pytest.raises(ValueError, match=r"out must be a C-contiguous float64 array"
+                                             r" of shape \(256,\)"):
             op.apply(np.ones(op.grid.size), out=out)
         assert not out.any()
 
@@ -501,6 +504,23 @@ class TestAssembleStencil:
         op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
         with pytest.raises(ValueError, match="real"):
             op.apply(np.ones(op.grid.size) + 1e-3j)
+
+    @pytest.mark.parametrize("x", [[None] * 256, ["1.0"] * 256, [True] * 256,
+                                   np.ones(256, dtype=object), [b"1"] * 256],
+                             ids=["nones", "strings", "bools", "objects", "bytes"])
+    def test_apply_rejects_x_that_is_not_numbers(self, x):
+        # none is a vector of numbers, though numpy would read each as one:
+        # None as NaN, a string or an object parsed, a bool as 0 or 1
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        with pytest.raises(ValueError, match="x must be real"):
+            op.apply(x)
+
+    def test_apply_takes_integers_and_lists(self):
+        op = assemble(builtin_scenario("mixed"), Grid(2, 16), 0.15)
+        want = op.apply(np.ones(256))
+        for x in ([1.0] * 256, [1] * 256, np.ones(256, dtype=np.int32),
+                  np.ones(256, dtype=np.float32)):
+            np.testing.assert_array_equal(op.apply(x), want)
 
     def test_apply_length_check(self):
         s = builtin_scenario("stable-point")

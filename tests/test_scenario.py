@@ -551,6 +551,15 @@ class TestComponentGeometry:
         q = (np.array([2 * math.pi - 0.1, 0.1]),)
         np.testing.assert_allclose(p.distance(q), [0.1, 0.1], atol=1e-12)
 
+    @pytest.mark.parametrize("coords", [[True], [np.array([True, False])], [["0.1"]],
+                                        [None], [1j]],
+                             ids=["bool", "bool-array", "string", "none", "complex"])
+    def test_distance_rejects_coords_that_are_not_real(self, coords):
+        # an angle is a real number: numpy would read a bool as 0 or 1
+        p = builtin_scenario("stable-point").components[0]
+        with pytest.raises(ValueError, match="coords must be real"):
+            p.distance(coords)
+
     @pytest.mark.parametrize("name", ["mixed", "irrational-torus", "sink-3d"])
     def test_distance_on_open_mesh_equals_flat(self, name):
         s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
