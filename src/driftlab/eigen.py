@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DriftlabError, ScheduleError
 from .expr import _is_int, _is_real, _real_array
-from .operator import Grid, assemble
+from .operator import Grid, _check_memory, assemble
 
 __all__ = [
     "EigenPair",
@@ -92,7 +92,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     # neither over- nor underflows, and the unit vector is that of x0
     x = np.ldexp(x, -math.frexp(top)[1])
     m = KRYLOV_DIM
-    base = op._perron_step((m + 1) * size)
+    base = op._perron_step(_basis_floats(op.grid))
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
     V[0] = x / math.sqrt(np.sum(x * x))
@@ -171,6 +171,10 @@ def _certify(op, u, tol):
                      lam_lo=lo, lam_hi=hi)
 
 
+def _basis_floats(grid):  # the Krylov basis V of a solve on grid
+    return (KRYLOV_DIM + 1) * grid.size
+
+
 def _check_budget(tol, max_iter):
     if not _is_real(tol):
         raise ValueError("tol must be a real number, got %r" % (tol,))
@@ -230,10 +234,10 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     """One certified eigenpair per eps, each solve started from the previous
     entry's eigenfunction.
 
-    A typed failure of one entry, a DriftlabError or a ValueError (numpy's
-    LinAlgError is one), is recorded on the entry, not raised, so one bad
-    epsilon does not abort the rest of the sweep. Any other error, such as
-    a scenario field that is not a TrigExpr, propagates.
+    A bad budget, schedule or grid (one whose solve _check_memory refuses)
+    raises before any assembly. A DriftlabError or ValueError (numpy's
+    LinAlgError is one) of one entry is recorded on it, not raised; any
+    other error, such as a field that is not a TrigExpr, propagates.
     """
     _check_budget(tol, max_iter)
     if not isinstance(eps_list, (str, bytes)):
@@ -253,6 +257,7 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ScheduleError("eps schedule must be strictly decreasing")
     grid = Grid(scenario.dim, n)
+    _check_memory(grid, _basis_floats(grid))
     entries = []
     x0 = None
     for eps in eps_list:
@@ -277,8 +282,8 @@ def extrapolate_limit(sweep):
     """Richardson limit of lam_eps = lam0 + a*eps^p on a geometric schedule.
 
     Takes eigen_sweep's SweepEntry list; entries without a certified pair
-    are left out. Needs >= 3 certified entries, eps strictly decreasing with
-    a ratio constant to 1%. Fitted from the last three points.
+    are left out. Needs >= 3 certified entries, eps strictly decreasing.
+    Fitted from the last three points, whose two eps ratios must agree to 1%.
     """
     data = [(item.eps, item.pair.lam) for item in sweep if item.ok]
     if len(data) < 3:
@@ -287,8 +292,8 @@ def extrapolate_limit(sweep):
     lam = np.array([l for _, l in data])
     if np.any(eps[1:] >= eps[:-1]):
         raise ScheduleError("eps schedule must be strictly decreasing")
-    r = eps[1:] / eps[:-1]
-    if np.any(np.abs(r / r[0] - 1.0) > 0.01):
+    r = eps[-2:] / eps[-3:-1]
+    if abs(r[1] / r[0] - 1.0) > 0.01:
         raise ScheduleError("eps schedule is not geometric (ratio varies > 1%)")
     ratio = float(r[-1])
     d1 = lam[-2] - lam[-3]

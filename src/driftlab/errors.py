@@ -28,7 +28,7 @@ class CoefficientOverflowError(DriftlabError, ValueError):
 
 
 class GridTooLargeError(DriftlabError):
-    """Grid or solver workspace exceeds a fixed memory guard."""
+    """A call's grid-sized float arrays would pass operator.py's byte budget."""
 
 
 class NonMetzlerError(DriftlabError):

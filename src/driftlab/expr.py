@@ -369,9 +369,10 @@ def grid_angles(n, lo=0, hi=None):
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>sin|cos|x1|x2|x3)"
-    r"|(?P<op>[-+*()])"
+    r"|(?P<op>[-+*()])",
+    re.ASCII,
 )
-_WS_RE = re.compile(r"\s*")
+_WS_RE = re.compile(r"\s*", re.ASCII)
 
 
 class _Tokens:

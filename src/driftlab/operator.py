@@ -26,7 +26,7 @@ above every row sum sigma - A is a nonsingular M-matrix. The operator
 factors it by odd-even cyclic reduction (Hockney, J. ACM 12, 1965), with no
 pivoting, so that the eigensolver can iterate the step (sigma - A)^-1.
 _perron_step hands the solver its step, any map with A's Perron vector,
-after the checks that make the solver's bracket valid and its memory guard.
+after the checks that keep the solver's bracket valid and its memory in budget.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ from .expr import _check_row, _is_int, _is_real, _real_array, grid_angles
 
 TWO_PI = 2.0 * math.pi
 
-# refuse grids with more rows than this
-MAX_GRID_SIZE = 2**24
+# bytes of the grid-sized float arrays one call may allocate (_check_memory)
+MAX_BYTES = 2**30
 
 # assemble requires its a-priori coefficient bound times this to be finite
 OVERFLOW_MARGIN = 1.0 + 2.0**-20
@@ -59,10 +59,6 @@ BLOCK_ROWS = 2**15
 # to 64 rows against 107 us down to 4, and the factor 0.3 ms against 1.0 ms
 # down to 128
 DIRECT_ROWS = 64
-
-# _perron_step refuses a Krylov basis that, together with a 1D step's
-# factor, takes more bytes than this
-BASIS_MAX_BYTES = 2**30
 
 __all__ = ["Grid", "SparseOperator", "assemble"]
 
@@ -188,7 +184,7 @@ class SparseOperator:
         Perron vector, apply on a 2D or 3D grid and on a 1D grid a solve with
         sigma - A. It first raises the typed error of an entry that is not
         finite, a negative coupling or a zero one, where the Collatz-Wielandt
-        bracket would not hold, then GridTooLargeError past BASIS_MAX_BYTES."""
+        bracket would not hold, then GridTooLargeError from _check_memory."""
         for entries in (self.diag, self.off):
             if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
                 raise CoefficientOverflowError("operator entries must be finite")
@@ -200,11 +196,7 @@ class SparseOperator:
         if least == 0.0:
             raise NotIrreducibleError(
                 "zero neighbor couplings: Perron structure not certified")
-        factor = _CyclicFactor.floats(self.grid.size) if self.grid.dim == 1 else 0
-        if (basis + factor) * 8 > BASIS_MAX_BYTES:
-            raise GridTooLargeError(
-                "Krylov basis of %d floats and its step's factor exceed %d bytes"
-                % (basis, BASIS_MAX_BYTES))
+        _check_memory(self.grid, basis)
         if self.grid.dim > 1:
             return self.apply
         # the Perron value of a Metzler A is at most its largest row sum; the
@@ -215,6 +207,15 @@ class SparseOperator:
         scale = float(np.max(np.abs(self.diag) + couplings))
         sigma = hi + max(2.0**-20 * max(1.0, abs(hi)), 2.0**-40 * scale)
         return _CyclicFactor(self.diag, self.off, sigma).solve
+
+
+def _check_memory(grid, basis=None):
+    """The one memory rule: GridTooLargeError unless the floats a call on grid
+    is about to make fit MAX_BYTES: (1 + 2*dim)*N, else basis + a 1D factor."""
+    floats = ((1 + 2 * grid.dim) * grid.size if basis is None else
+              basis + (_CyclicFactor.floats(grid.size) if grid.dim == 1 else 0))
+    if floats * 8 > MAX_BYTES:
+        raise GridTooLargeError("%d floats on %r exceed %d bytes" % (floats, grid, MAX_BYTES))
 
 
 def _line_aligned_empty(size):
@@ -393,14 +394,12 @@ class _CyclicFactor:
 
 def assemble(scenario, grid, eps):
     """Discrete eps*Lap + b.grad + c in stencil form, with upwind differences
-    for the drift."""
+    for the drift; _check_memory counts diag and off before any sampling."""
     if grid.dim != scenario.dim:
         raise ValueError("grid dim %d != scenario dim %d" % (grid.dim, scenario.dim))
     if not _is_real(eps):
         raise ValueError("eps must be a real number, got %r" % (eps,))
-    if grid.size > MAX_GRID_SIZE:
-        raise GridTooLargeError(
-            "grid has %d rows (> %d)" % (grid.size, MAX_GRID_SIZE))
+    _check_memory(grid)
     n, dim, h = grid.n, grid.dim, grid.h
     lap = eps / (h * h)
     # the diagonal holds -2*dim*lap, so that must not overflow either

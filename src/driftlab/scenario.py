@@ -99,7 +99,12 @@ class Component:
         return bool(np.all(np.real(np.linalg.eigvals(self.normal)) < 0))
 
     def distance(self, coords):
+        """Periodic distance from the points coords, one real coordinate
+        (or array) per axis of the component's dim, to its held axes."""
         coords = [_real_array(x, "coords") for x in coords]
+        if len(coords) != self.flow.size:
+            raise ValueError("distance needs one coordinate per axis of dim %d, got %d"
+                             % (self.flow.size, len(coords)))
         d2 = sum(periodic_delta(coords[a] - x) ** 2 for a, x in self.held)
         return np.broadcast_to(np.sqrt(d2), np.broadcast_shapes(*map(np.shape, coords)))
 

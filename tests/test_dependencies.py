@@ -57,7 +57,7 @@ def test_no_unused_imports():
 
 
 def test_solver_reads_the_stencil_only_through_the_operator():
-    # SparseOperator._perron_step makes the Perron checks, the memory guard
+    # SparseOperator._perron_step makes the Perron checks, the memory count
     # and the step; eigen.py reads no stencil array or fact of its own
     src = ROOT / "src" / "driftlab"
     tree = ast.parse((src / "eigen.py").read_text())
@@ -149,3 +149,33 @@ def test_only_expr_reads_array_dtypes():
                   if isinstance(node, ast.Attribute)
                   and node.attr in ("dtype", "flags", "astype", "iscomplexobj")]
     assert reads == []
+
+
+def names_in(node):
+    """Every identifier node names: variables, attributes and imports."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))
+               for a in n.names})
+
+
+def test_one_memory_rule():
+    # operator._check_memory is the one place a grid is refused for its
+    # memory, and operator.py the one module that names the byte budget
+    raised, named = [], []
+
+    def visit(path, node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Raise) and node.exc is not None
+                and "GridTooLargeError" in names_in(node.exc)):
+            raised.append("%s %s" % (path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, function)
+
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(path, tree, None)
+        if "MAX_BYTES" in names_in(tree):
+            named.append(path.name)
+    assert raised == ["operator.py _check_memory"] and named == ["operator.py"]

@@ -248,9 +248,9 @@ class TestMemoryGuard:
             factor = operator._CyclicFactor.floats(g.size) if dim == 1 else 0
             limit = ((eigen.KRYLOV_DIM + 1) * g.size + factor) * 8
             s = bare_scenario(dim, ["-sin(x1)"] + ["0"] * (dim - 1), "cos(x1)")
-            monkeypatch.setattr(operator, "BASIS_MAX_BYTES", limit)
+            monkeypatch.setattr(operator, "MAX_BYTES", limit)
             assert principal_eigenpair(assemble(s, g, 0.1)).certified
-            monkeypatch.setattr(operator, "BASIS_MAX_BYTES", limit - 8)
+            monkeypatch.setattr(operator, "MAX_BYTES", limit - 8)
             op = CountingOperator(assemble(s, g, 0.1))
             with pytest.raises(GridTooLargeError):
                 principal_eigenpair(op)
@@ -729,6 +729,18 @@ class TestSweep:
             eigen_sweep(builtin_scenario("stable-point"), 16, [0.2, 0.1, 0.05], **budget)
         assert assembled == []
 
+    @pytest.mark.parametrize("name, n", [("mixed", 2100), ("stable-point", 4_000_000)],
+                             ids=["2d-basis", "1d-basis-and-factor"])
+    def test_too_large_grid_rejected_before_assembly(self, name, n, monkeypatch):
+        # the solve's memory is counted once, up front: mixed at n = 2100
+        # assembled each 176 MB operator before its solve refused the basis;
+        # stable-point's 31 basis rows fit, and its 1D step's factor does not
+        assembled = []
+        monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
+        with pytest.raises(GridTooLargeError):
+            eigen_sweep(builtin_scenario(name), n, [0.2, 0.1, 0.05])
+        assert assembled == []
+
     def test_non_integer_n_rejected(self):
         # raised at once, not recorded on every entry
         with pytest.raises(ValueError, match="integers"):
@@ -786,6 +798,16 @@ class TestExtrapolation:
     def test_non_geometric_rejected(self, data):
         with pytest.raises(ScheduleError):
             extrapolate_limit(certified_entries(data))
+
+    def test_ratio_checked_on_the_fitted_entries_only(self):
+        # with 0.4 uncertified the certified eps ratios are 1/4, 1/2, 1/2, but
+        # the fit reads only the last three, a geometric schedule
+        data = [(e, 1.0 - e / 2) for e in (0.8, 0.4, 0.2, 0.1, 0.05)]
+        entries = certified_entries(data)
+        entries[1].pair.certified = False
+        want = extrapolate_limit(entries[2:])
+        assert want.lambda0 == pytest.approx(1.0, abs=1e-12) and want.p == pytest.approx(1.0)
+        assert extrapolate_limit(entries) == want  # every field, none of them NaN
 
     def test_needs_three_points(self):
         with pytest.raises(ScheduleError):

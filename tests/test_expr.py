@@ -395,6 +395,9 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: parse_expr("2*cos"), ExprSyntaxError, r"expected '\(' after cos"),
     (lambda: parse_expr("1 + * 2"), ExprSyntaxError, "expected a number or sin/cos"),
     (lambda: parse_expr("x1"), ExprSyntaxError, "expected a number or sin/cos"),
+    (lambda: parse_expr("\u0663*cos(x1)"), ExprSyntaxError, r"character '\u0663' \(byte 0\)"),
+    (lambda: parse_expr("\u2003\u2003cos(x1)"), ExprSyntaxError, r"\\u2003' \(byte 0\)"),
+    (lambda: parse_expr("\x1ccos(x1)"), ExprSyntaxError, r"\\x1c' \(byte 0\)"),
     (lambda: GRID_FIELD.on_grid(8, 4), ValueError, "dim must be an integer in 1..3"),
     (lambda: GRID_FIELD.on_grid(8, 0), ValueError, "dim must be an integer in 1..3"),
     (lambda: GRID_FIELD.on_grid(8, True), ValueError, "dim must be an integer"),
@@ -432,8 +435,9 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
         "derivative-axis-float", "harmonics-dim-bool", "abs-sum-dim-float", "add-bool",
         "bool-times", "harmonics-dim",
         "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
-        "bare-variable", "on-grid-dim-4", "on-grid-dim-0", "on-grid-dim-bool",
-        "on-grid-n-0", "on-grid-n-float", "on-grid-n-bool", "on-grid-n-negative",
+        "bare-variable", "arabic-indic-digit", "em-spaces", "file-separator",
+        "on-grid-dim-4", "on-grid-dim-0", "on-grid-dim-bool", "on-grid-n-0",
+        "on-grid-n-float", "on-grid-n-bool", "on-grid-n-negative",
         "on-grid-out-shape", "on-grid-out-float32", "on-grid-out-strided", "on-grid-out-list",
         "constant-bool", "constant-string", "coefficient-bool", "coefficient-string",
         "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",

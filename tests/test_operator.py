@@ -658,14 +658,35 @@ class TestEpsRange:
 
 
 class TestMemoryGuard:
+    @pytest.mark.parametrize("dim, rows", [(1, 44_739_242), (2, 26_843_545), (3, 19_173_961)])
+    def test_rows_admitted_per_dim(self, dim, rows, monkeypatch):
+        # the budget counts (1 + 2*dim) floats per row, so the most rows
+        # assemble admits shrinks with dim; the count comes before the first
+        # sample, which the stub refuses, so no grid-sized array is made
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        s = bare_scenario(dim, ["0"] * dim, "0")
+        monkeypatch.setattr(TrigExpr, "on_grid", sample)
+        monkeypatch.setattr(Grid, "size", rows)
+        with pytest.raises(Sampled):
+            assemble(s, Grid(dim, 8), 0.1)
+        monkeypatch.setattr(Grid, "size", rows + 1)
+        with pytest.raises(GridTooLargeError):
+            assemble(s, Grid(dim, 8), 0.1)
+
     def test_large_grid_refused(self):
         s = bare_scenario(3, ["0", "0", "0"], "0")
         with pytest.raises(GridTooLargeError):
             assemble(s, Grid(3, 512), 0.1)
 
     def test_boundary_allowed(self, monkeypatch):
-        # a grid exactly at the guard passes; one row more is refused
-        monkeypatch.setattr(operator, "MAX_GRID_SIZE", 16**2)
+        # the operator's diag and 2*dim off rows exactly at the byte budget
+        # are assembled; a grid one row wider is refused
+        monkeypatch.setattr(operator, "MAX_BYTES", 5 * 16**2 * 8)
         s = bare_scenario(2, ["0", "0"], "0")
         assert assemble(s, Grid(2, 16), 0.1).grid.size == 16**2
         with pytest.raises(GridTooLargeError):

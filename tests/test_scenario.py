@@ -560,6 +560,14 @@ class TestComponentGeometry:
         with pytest.raises(ValueError, match="coords must be real"):
             p.distance(coords)
 
+    @pytest.mark.parametrize("coords", [[], [0.1, 0.2, 0.3]], ids=["none", "three"])
+    def test_distance_needs_one_coordinate_per_axis(self, coords):
+        # no coordinate raised an untyped IndexError, and three read the first
+        p = builtin_scenario("stable-point").components[0]
+        with pytest.raises(ValueError, match="one coordinate per axis of dim 1, got %d"
+                           % len(coords)):
+            p.distance(coords)
+
     @pytest.mark.parametrize("name", ["mixed", "irrational-torus", "sink-3d"])
     def test_distance_on_open_mesh_equals_flat(self, name):
         s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
