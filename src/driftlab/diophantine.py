@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .expr import _is_int, _is_real
+
 __all__ = [
     "continued_fraction",
     "is_irrational",
@@ -23,9 +25,12 @@ def continued_fraction(x, max_terms=40):
     """Partial quotients of x from float arithmetic.
 
     Terminates early when the remainder is exhausted (rational within float
-    precision). Useful to ~35 terms for well-behaved irrationals. A NaN or
-    infinite x raises ValueError.
+    precision). Useful to ~35 terms for well-behaved irrationals. x must be
+    a finite real number and max_terms an integer >= 1, else ValueError.
     """
+    _check_count(max_terms, "max_terms")
+    if not _is_real(x):
+        raise ValueError("continued_fraction needs a real x, got %r" % (x,))
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("continued_fraction needs a finite x, got %r" % x)
@@ -44,8 +49,17 @@ def continued_fraction(x, max_terms=40):
 
 def is_irrational(x, depth=20):
     """True when x is finite and its continued fraction reaches `depth` terms
-    without terminating; working-precision proxy for irrationality."""
+    without terminating; working-precision proxy for irrationality. x must
+    be a real number and depth an integer >= 1, else ValueError."""
+    _check_count(depth, "depth")
+    if not _is_real(x):
+        raise ValueError("is_irrational needs a real x, got %r" % (x,))
     return math.isfinite(x) and len(continued_fraction(x, max_terms=depth)) >= depth
+
+
+def _check_count(value, name):
+    if not (_is_int(value) and value >= 1):
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 def _divisor_grid(k, M):
@@ -66,9 +80,18 @@ def _divisor_grid(k, M):
 def check_declared_bound(k, M, C, alpha):
     """Verify |m.k| >= C*(m1^2+m2^2)^(-alpha) for all 0 < |m| <= M.
 
-    Returns (ok, margin) with margin = min |m.k|*(m1^2+m2^2)^alpha / C. The
-    hypothesis needs C > 0, so any other C fails with margin 0.
+    Returns (ok, margin) with margin = min |m.k|*(m1^2+m2^2)^alpha / C. k
+    must hold two real numbers, M be an integer >= 1 and C and alpha real
+    numbers, else ValueError. The hypothesis needs C > 0, so any other C
+    fails with margin 0; a NaN alpha gives a NaN margin, which fails.
     """
+    if not (isinstance(k, (list, tuple, np.ndarray)) and len(k) == 2
+            and all(map(_is_real, k))):
+        raise ValueError("k must be two real numbers, got %r" % (k,))
+    _check_count(M, "M")
+    for value, name in ((C, "C"), (alpha, "alpha")):
+        if not _is_real(value):
+            raise ValueError("%s must be a real number, got %r" % (name, value))
     if not C > 0:
         return False, 0.0
     r2, divs = _divisor_grid(k, M)

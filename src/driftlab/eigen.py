@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DriftlabError, ScheduleError
 from .expr import _is_int, _is_real, _real_array
-from .operator import Grid, _check_memory, assemble
+from .operator import BLOCK_ROWS, Grid, _check_memory, assemble
 
 __all__ = [
     "EigenPair",
@@ -78,7 +78,10 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     step(u*v)/u: its Perron vector is near 1 in every entry, and its Ritz
     vectors times D are certified with A. The iterate with the narrowest
     bracket (without one, the smallest residual) is returned, flagged
-    uncertified unless its bracket meets tol.
+    uncertified unless its bracket meets tol. Beside op the solve holds at
+    most _solve_floats(op.grid) grid-sized floats, plus a 1D step's factor;
+    _perron_step counts both and raises GridTooLargeError before any step
+    if they pass the byte budget.
     """
     _check_budget(tol, max_iter)
     size = op.grid.size
@@ -88,14 +91,15 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     top = float(np.max(np.abs(x)))
     if not 0.0 < top < math.inf:
         raise ValueError("x0 must be finite and nonzero")
-    # an exact power-of-two scaling to max|x| in [1/2, 1): the squared norm
-    # neither over- nor underflows, and the unit vector is that of x0
-    x = np.ldexp(x, -math.frexp(top)[1])
     m = KRYLOV_DIM
-    base = op._perron_step(_basis_floats(op.grid))
+    base = op._perron_step(_solve_floats(op.grid))
 
     V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
-    V[0] = x / math.sqrt(np.sum(x * x))
+    # an exact power-of-two scaling to max|x| in [1/2, 1): the squared norm
+    # neither over- nor underflows, and the unit vector is that of x0. It is
+    # made in V[0], so the solve keeps no row of x0 beside the basis
+    x = np.ldexp(x, -math.frexp(top)[1], out=V[0])
+    x /= math.sqrt(np.sum(x * x))
     H = np.zeros((m + 1, m))  # step(V[:j].T) = V[:j+1].T H[:j+1, :j]
     step = base
     gauge = 1.0  # D: a Ritz vector of step times D is one of A
@@ -134,6 +138,7 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
             stale += 1  # neither bracket nor residual improves: rounding
         if pair.certified or max_iter - calls < 2:
             break
+        del u, pair  # of this cycle's rows, only best's is kept
         if stale == STALL_CYCLES and step is base and best.lam_lo > -math.inf:
             # restart from the constant vector in the gauge of the best u; a
             # stale H would move lam and the bracket in the last digits
@@ -153,26 +158,36 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
 
 
 def _certify(op, u, tol):
-    """u checked against op by one op.apply: u's sign fixed, lam = (u @ Au)
-    / (u @ u), the residual and the Collatz-Wielandt bracket. For u > 0, lam
-    is a u^2-weighted mean of the bracket's ratios, so it lies inside."""
+    """u checked against op by one op.apply: u's sign fixed in place, lam =
+    (u @ Au) / (u @ u), the residual and the Collatz-Wielandt bracket. For
+    u > 0, lam is a u^2-weighted mean of the bracket's ratios, so it lies
+    inside. Beside u it makes two grid rows: Au and one scratch row."""
     if np.sum(u) < 0:
-        u = -u
+        np.negative(u, out=u)
     au = op.apply(u)
     lam = float(u @ au) / float(u @ u)
-    residual = float(np.max(np.abs(au - lam * u)) / np.max(np.abs(u)))
+    row = lam * u  # the scratch row: Au - lam u, |u|, then the ratios
+    np.subtract(au, row, out=row)
+    misfit = np.max(np.abs(row, out=row))
+    residual = float(misfit / np.max(np.abs(u, out=row)))
     lo, hi = -math.inf, math.inf
     if u.min() > 0.0:
-        ratio = au / u
-        lo, hi = float(ratio.min()), float(ratio.max())
+        np.divide(au, u, out=row)
+        lo, hi = float(row.min()), float(row.max())
         lam = min(max(lam, lo), hi)  # the rounding of the mean
     return EigenPair(lam=lam, u=u, residual=residual, iterations=1,
                      certified=hi - lo <= tol * max(1.0, abs(lam)),
                      lam_lo=lo, lam_hi=hi)
 
 
-def _basis_floats(grid):  # the Krylov basis V of a solve on grid
-    return (KRYLOV_DIM + 1) * grid.size
+def _solve_floats(grid):
+    """The grid-sized floats a solve on grid holds at most, one term per
+    array; _perron_step adds what a 1D step's factor holds."""
+    size = grid.size
+    return ((KRYLOV_DIM + 1) * size  # the basis V
+            + (KEEP + 1) * min(size, BLOCK_ROWS)  # a block of _restart's product
+            + 3 * size  # _certify's u, Au and scratch row
+            + 2 * size)  # the best pair's u and the gauge
 
 
 def _check_budget(tol, max_iter):
@@ -211,8 +226,17 @@ def _restart(V, H, theta, Y, order):
     k = Q.shape[1]
     coupling = H[m, m - 1] * Q[m - 1]
     projected = Q.T @ H[:m, :m] @ Q
-    V[:k] = Q.T @ V[:m]
-    V[k] = V[m]
+    # V[:k] = Q.T @ V[:m] in place, in column blocks of equal width, at most
+    # BLOCK_ROWS, so the product is one block, not a second basis. A block
+    # one column wide would go through gemv, not gemm, and could round its
+    # column differently from the whole product; equal widths avoid it
+    size = V.shape[1]
+    blocks = -(-size // BLOCK_ROWS)
+    width = -(-size // blocks)
+    for c in range(0, size, width):
+        block = V[:, c:c + width]
+        block[:k] = Q.T @ block[:m]
+        block[k] = block[m]
     H[:] = 0.0
     H[:k, :k] = projected
     H[k, :k] = coupling
@@ -234,10 +258,13 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     """One certified eigenpair per eps, each solve started from the previous
     entry's eigenfunction.
 
-    A bad budget, schedule or grid (one whose solve _check_memory refuses)
-    raises before any assembly. A DriftlabError or ValueError (numpy's
-    LinAlgError is one) of one entry is recorded on it, not raised; any
-    other error, such as a field that is not a TrigExpr, propagates.
+    A bad budget, schedule or grid raises before any assembly. The grid is
+    refused by _check_memory when one solve (_solve_floats, plus a 1D step's
+    factor), the operator it runs on and the u of each entry finished
+    before the last solve would pass the byte budget. A DriftlabError or
+    ValueError (numpy's LinAlgError is one) of one entry is recorded on it,
+    not raised; any other error, such as a field that is not a TrigExpr,
+    propagates.
     """
     _check_budget(tol, max_iter)
     if not isinstance(eps_list, (str, bytes)):
@@ -257,7 +284,10 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ScheduleError("eps schedule must be strictly decreasing")
     grid = Grid(scenario.dim, n)
-    _check_memory(grid, _basis_floats(grid))
+    # a solve, the operator it runs on, and the u of each entry finished
+    # before the last solve
+    _check_memory(grid, _solve_floats(grid)
+                  + (1 + 2 * grid.dim + len(eps_list) - 1) * grid.size)
     entries = []
     x0 = None
     for eps in eps_list:

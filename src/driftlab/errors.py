@@ -28,7 +28,9 @@ class CoefficientOverflowError(DriftlabError, ValueError):
 
 
 class GridTooLargeError(DriftlabError):
-    """A call's grid-sized float arrays would pass operator.py's byte budget."""
+    """A call's grid-sized float arrays would pass operator.py's byte budget:
+    assemble's diag and off, or every row a solve or sweep holds at once
+    (operator._check_memory)."""
 
 
 class NonMetzlerError(DriftlabError):

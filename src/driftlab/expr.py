@@ -47,25 +47,32 @@ class TrigExpr:
     sorted order, so the half m >= 0 is the second half of the items.
 
     TrigExpr(pairs) is the expression with a_m = a and a_{-m} = conj(a)
-    for each (m, a) of `pairs`, no two of which name the same +-m; a_0 is
-    taken real, and each a must be a number that is not a bool, else
-    ValueError. TrigExpr() is zero.
+    for each (m, a) of `pairs`; a_0 is taken real. Each m must be a 3-tuple
+    of integers (_is_int), each a a number that is not a bool, and no two
+    pairs may name the same +-m, else ValueError. TrigExpr() is zero.
     """
 
     __slots__ = ("_coef",)
 
     def __init__(self, pairs=()):
-        coef = {}
+        coef = {}  # zero entries too, until every pair is read
         for m, a in pairs:
+            # a plain int skips _is_int's slower abstract-class check
+            if not (isinstance(m, tuple) and len(m) == _NVARS
+                    and all(type(k) is int or _is_int(k) for k in m)):
+                raise ValueError("a frequency must be a 3-tuple of integers, got %r"
+                                 % ((m, a),))
+            m = (int(m[0]), int(m[1]), int(m[2]))  # numpy's integers as ints
             if not isinstance(a, numbers.Complex) or isinstance(a, bool):
                 raise ValueError("a coefficient must be a number, got %r" % (a,))
+            if m in coef:
+                raise ValueError("%r names the same +-m as an earlier pair" % ((m, a),))
             if m == _ZERO:
                 a = complex(a.real)
-            if a != 0:
-                # + 0j turns a -0.0 part into +0.0, so equal maps hash alike
-                coef[m] = a + 0j
-                coef[-m[0], -m[1], -m[2]] = a.conjugate() + 0j
-        object.__setattr__(self, "_coef", dict(sorted(coef.items())))
+            # + 0j turns a -0.0 part into +0.0, so equal maps hash alike
+            coef[m] = a + 0j
+            coef[-m[0], -m[1], -m[2]] = a.conjugate() + 0j
+        object.__setattr__(self, "_coef", dict(sorted((m, a) for m, a in coef.items() if a)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TrigExpr is immutable")

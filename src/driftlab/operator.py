@@ -178,13 +178,15 @@ class SparseOperator:
                 block += term
         return out
 
-    def _perron_step(self, basis):
-        """The map step(v, out) that an eigensolver with a Krylov basis of
-        `basis` floats iterates: any map whose dominant eigenvector is A's
-        Perron vector, apply on a 2D or 3D grid and on a 1D grid a solve with
-        sigma - A. It first raises the typed error of an entry that is not
-        finite, a negative coupling or a zero one, where the Collatz-Wielandt
-        bracket would not hold, then GridTooLargeError from _check_memory."""
+    def _perron_step(self, floats):
+        """The map step(v, out) that an eigensolver holding `floats`
+        grid-sized floats of its own (eigen._solve_floats) iterates: any map
+        whose dominant eigenvector is A's Perron vector, apply on a 2D or 3D
+        grid and on a 1D grid a solve with sigma - A. It first raises the
+        typed error of an entry that is not finite, a negative coupling or a
+        zero one, where the Collatz-Wielandt bracket would not hold, then
+        GridTooLargeError from _check_memory, which adds to `floats` what a
+        1D step's factor holds."""
         for entries in (self.diag, self.off):
             if not (math.isfinite(entries.min()) and math.isfinite(entries.max())):
                 raise CoefficientOverflowError("operator entries must be finite")
@@ -196,7 +198,7 @@ class SparseOperator:
         if least == 0.0:
             raise NotIrreducibleError(
                 "zero neighbor couplings: Perron structure not certified")
-        _check_memory(self.grid, basis)
+        _check_memory(self.grid, floats)
         if self.grid.dim > 1:
             return self.apply
         # the Perron value of a Metzler A is at most its largest row sum; the
@@ -209,11 +211,16 @@ class SparseOperator:
         return _CyclicFactor(self.diag, self.off, sigma).solve
 
 
-def _check_memory(grid, basis=None):
-    """The one memory rule: GridTooLargeError unless the floats a call on grid
-    is about to make fit MAX_BYTES: (1 + 2*dim)*N, else basis + a 1D factor."""
-    floats = ((1 + 2 * grid.dim) * grid.size if basis is None else
-              basis + (_CyclicFactor.floats(grid.size) if grid.dim == 1 else 0))
+def _check_memory(grid, solve=None):
+    """The one memory rule: GridTooLargeError unless the grid-sized floats a
+    call on grid is about to hold fit MAX_BYTES. Without `solve` that is
+    assemble's diag and off, (1 + 2*dim)*N; with it, the `solve` floats an
+    eigensolver holds (eigen._solve_floats: its basis, the restart's block,
+    the rows it certifies, keeps and gauges with, and for eigen_sweep also
+    its operator and finished entries) plus, on a 1D grid, the factor of
+    its step (_CyclicFactor.floats)."""
+    floats = ((1 + 2 * grid.dim) * grid.size if solve is None else
+              solve + (_CyclicFactor.floats(grid.size) if grid.dim == 1 else 0))
     if floats * 8 > MAX_BYTES:
         raise GridTooLargeError("%d floats on %r exceed %d bytes" % (floats, grid, MAX_BYTES))
 

@@ -5,11 +5,6 @@ from pathlib import Path
 
 import pytest
 
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python 3.10: the same parser as the tomli package
-    tomllib = pytest.importorskip("tomli")
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,6 +20,11 @@ def imported_modules(path):
 
 
 def test_declared_dependencies_are_the_imported_ones():
+    # the one test that reads pyproject.toml, so the one a missing parser skips
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the same parser as the tomli package
+        tomllib = pytest.importorskip("tomli")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
                 for d in project["dependencies"]}

@@ -133,3 +133,39 @@ class TestOverflow:
         r2, divs = _divisor_grid(k, 64)
         assert np.isnan(divs).any() and np.nanmin(divs) > 1e307
         assert check_declared_bound(k, 64, 0.5, 0.5) == (False, 0.0)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("args, match", [
+        (((1.0, PHI), 1.5, 0.5, 0.5), "M must be an integer >= 1"),
+        (((1.0, PHI), 0, 0.5, 0.5), "M must be an integer >= 1"),
+        (((1.0, PHI), -3, 0.5, 0.5), "M must be an integer >= 1"),
+        (((1.0, PHI), True, 0.5, 0.5), "M must be an integer >= 1"),
+        ((["1", "1.618"], 64, 0.5, 0.5), "k must be two real numbers"),
+        (((1.0, PHI, 2.0), 64, 0.5, 0.5), "k must be two real numbers"),
+        ((1.0, 64, 0.5, 0.5), "k must be two real numbers"),
+        (((1.0, PHI), 64, 0.5, "0.5"), "alpha must be a real number"),
+        (((1.0, PHI), 64, True, 0.5), "C must be a real number"),
+        (((1.0, PHI), 64, "0.5", 0.5), "C must be a real number"),
+    ], ids=["M-half", "M-zero", "M-negative", "M-bool", "k-strings", "k-three", "k-number",
+            "alpha-string", "C-bool", "C-string"])
+    def test_bound_arguments(self, args, match):
+        # M = 1.5 checked half-integer frequencies, M <= 0 raised numpy's
+        # zero-size reduction error, strings and bools were read as numbers
+        # and a third k ignored, and C = '0.5' raised a TypeError
+        with pytest.raises(ValueError, match=match):
+            check_declared_bound(*args)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: is_irrational(1.0, 0), "depth must be an integer >= 1"),
+        (lambda: is_irrational(PHI, 20.0), "depth must be an integer >= 1"),
+        (lambda: is_irrational("0.5"), "real x"),
+        (lambda: continued_fraction(PHI, 0), "max_terms must be an integer >= 1"),
+        (lambda: continued_fraction(PHI, True), "max_terms must be an integer >= 1"),
+        (lambda: continued_fraction("0.5"), "real x"),
+    ], ids=["depth-zero", "depth-float", "irrational-string", "terms-zero", "terms-bool",
+            "fraction-string"])
+    def test_count_arguments(self, call, match):
+        # is_irrational(1.0, 0) was True: no terms are always "enough"
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conftest import (
 )
 from driftlab import eigen, operator
 from driftlab.eigen import (
+    DEFAULT_MAX_ITER,
     EigenPair,
     SweepEntry,
     eigen_sweep,
@@ -239,14 +241,36 @@ class TestPreconditions:
                     want.certified))
 
 
+def counted_floats(grid):
+    """The grid-sized floats _check_memory counts for a solve on grid."""
+    factor = operator._CyclicFactor.floats(grid.size) if grid.dim == 1 else 0
+    return eigen._solve_floats(grid) + factor
+
+
+class Gauged(SparseOperator):
+    """The same stencil operator, noting whether its step was ever made in
+    the gauge, where the step's input is a fresh product, not a basis row."""
+
+    def __init__(self, op):
+        super().__init__(op.grid, op.diag, op.off)
+        self.gauged = False
+
+    def _perron_step(self, floats):
+        step = super()._perron_step(floats)
+
+        def watched(v, out):
+            self.gauged |= v.base is None
+            return step(v, out=out)
+        return watched
+
+
 class TestMemoryGuard:
     def test_boundary_allowed(self, monkeypatch):
-        # a Krylov basis, with a 1D step's factor, exactly at the byte limit
-        # is allocated; one float more is refused before any apply or solve
+        # a solve, with a 1D step's factor, exactly at the byte limit is
+        # allocated; one float more is refused before any apply or solve
         for dim, n in ((1, 16), (2, 8)):
             g = Grid(dim, n)
-            factor = operator._CyclicFactor.floats(g.size) if dim == 1 else 0
-            limit = ((eigen.KRYLOV_DIM + 1) * g.size + factor) * 8
+            limit = counted_floats(g) * 8
             s = bare_scenario(dim, ["-sin(x1)"] + ["0"] * (dim - 1), "cos(x1)")
             monkeypatch.setattr(operator, "MAX_BYTES", limit)
             assert principal_eigenpair(assemble(s, g, 0.1)).certified
@@ -255,6 +279,85 @@ class TestMemoryGuard:
             with pytest.raises(GridTooLargeError):
                 principal_eigenpair(op)
             assert op.applies == op.solves == 0
+
+    @pytest.mark.parametrize("name, n, max_iter, gauged", [
+        ("stable-point", 2**16, 300, True),
+        ("mixed", 2**8, DEFAULT_MAX_ITER, False),
+        ("sink-3d", 41, DEFAULT_MAX_ITER, False),
+    ], ids=["1d", "2d", "3d"])
+    def test_count_is_what_a_solve_holds(self, name, n, max_iter, gauged, monkeypatch):
+        # above the operator, the peak of a solve on at least two blocks of
+        # rows, restarts and the gauge included, is at most what
+        # _check_memory counts, and not far below it
+        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        g = Grid(s.dim, n)
+        op = Gauged(assemble(s, g, 0.2))
+        restarts = []
+        restart = eigen._restart
+
+        def counted(*args):
+            restarts.append(args)
+            return restart(*args)
+
+        monkeypatch.setattr(eigen, "_restart", counted)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            principal_eigenpair(op, max_iter=max_iter)
+            # numpy traces its data buffers in np.lib.tracemalloc_domain; the
+            # peak is of every domain, so it bounds theirs from above
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.size >= 2 * operator.BLOCK_ROWS and restarts and op.gauged == gauged
+        assert peak <= 8 * counted_floats(g) <= 1.25 * peak
+
+    @pytest.mark.parametrize("size", [operator.BLOCK_ROWS + 1, 2 * operator.BLOCK_ROWS + 3])
+    def test_restart_in_blocks_is_the_whole_product(self, size, monkeypatch):
+        # _restart rotates the basis one column block at a time; the result
+        # is the whole product Q.T @ V[:m] bit for bit, also where a block of
+        # BLOCK_ROWS columns would leave a last block one column wide
+        m = eigen.KRYLOV_DIM
+        rng = np.random.default_rng(size)
+        V = rng.standard_normal((m + 1, size))
+        H = np.triu(rng.standard_normal((m + 1, m)), -1)
+        theta, Y = np.linalg.eig(H[:m, :m])
+        order = np.argsort(-theta.real)
+        products = []
+        real_qr = np.linalg.qr
+
+        def qr(a):
+            Q, R = real_qr(a)
+            products.append(Q.T @ V[:m])
+            return Q, R
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        rotated = V.copy()
+        k = eigen._restart(rotated, H, theta, Y, order)
+        assert k in (eigen.KEEP, eigen.KEEP + 1) and len(products) == 1
+        np.testing.assert_array_equal(rotated[:k], products[0])
+        np.testing.assert_array_equal(rotated[k], V[m])
+
+    def test_sweep_count_is_what_a_sweep_holds(self, monkeypatch):
+        # three entries: the peak, from the first assembly on, is at most
+        # the count eigen_sweep checks before it (3D: no factor to add)
+        counts = []
+        check = operator._check_memory
+
+        def counted(grid, solve):
+            counts.append(solve)
+            check(grid, solve)
+
+        monkeypatch.setattr(eigen, "_check_memory", counted)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entries = eigen_sweep(scenario_from_dict(SINK_3D), 16, [0.2, 0.1, 0.05])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(e.ok for e in entries) and len(counts) == 1
+        assert peak <= 8 * counts[0]
 
 
 class TestArnoldiAgainstDenseOracle:
@@ -729,12 +832,13 @@ class TestSweep:
             eigen_sweep(builtin_scenario("stable-point"), 16, [0.2, 0.1, 0.05], **budget)
         assert assembled == []
 
-    @pytest.mark.parametrize("name, n", [("mixed", 2100), ("stable-point", 4_000_000)],
+    @pytest.mark.parametrize("name, n", [("mixed", 2100), ("stable-point", 3_000_000)],
                              ids=["2d-basis", "1d-basis-and-factor"])
     def test_too_large_grid_rejected_before_assembly(self, name, n, monkeypatch):
-        # the solve's memory is counted once, up front: mixed at n = 2100
+        # the sweep's memory is counted once, up front: mixed at n = 2100
         # assembled each 176 MB operator before its solve refused the basis;
-        # stable-point's 31 basis rows fit, and its 1D step's factor does not
+        # at stable-point's 3,000,000 rows the solve, the operator and two
+        # finished entries fit, and only the 1D step's factor does not
         assembled = []
         monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
         with pytest.raises(GridTooLargeError):

@@ -415,6 +415,18 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: TrigExpr.constant("1.5"), ValueError, "must be a real number"),
     (lambda: TrigExpr([((1, 0, 0), True)]), ValueError, "must be a number"),
     (lambda: TrigExpr([((1, 0, 0), "1.5")]), ValueError, "must be a number"),
+    # a float frequency built 2*cos(1.5*x1), not 2*pi-periodic; a bool was
+    # read as 1, a fourth entry stored, and a short or str key raised an
+    # untyped IndexError or TypeError
+    (lambda: TrigExpr([((1.5, 0, 0), 1.0)]), ValueError, r"3-tuple of integers, got \(\(1.5"),
+    (lambda: TrigExpr([((True, 0, 0), 1.0)]), ValueError, "3-tuple of integers"),
+    (lambda: TrigExpr([((1, 0, 0, 0), 1.0)]), ValueError, "3-tuple of integers"),
+    (lambda: TrigExpr([((1,), 1.0)]), ValueError, "3-tuple of integers"),
+    (lambda: TrigExpr([(("a", 0, 0), 1.0)]), ValueError, "3-tuple of integers"),
+    # the second pair silently replaced the first
+    (lambda: TrigExpr([((1, 0, 0), 1.0), ((-1, 0, 0), 2.0)]), ValueError,
+     r"\(\(-1, 0, 0\), 2.0\) names the same \+-m"),
+    (lambda: TrigExpr([((0, 2, 0), 1.0), ((0, 2, 0), 0.0)]), ValueError, "same [+]-m"),
     (lambda: GRID_FIELD.hold([(3, 0.0)]), ValueError, "hold needs axes in 0..2"),
     (lambda: GRID_FIELD.hold([(-1, 0.0)]), ValueError, "hold needs axes in 0..2"),
     (lambda: GRID_FIELD.hold([(True, 0.0)]), ValueError, "hold needs axes in 0..2"),
@@ -440,6 +452,8 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
         "on-grid-n-float", "on-grid-n-bool", "on-grid-n-negative",
         "on-grid-out-shape", "on-grid-out-float32", "on-grid-out-strided", "on-grid-out-list",
         "constant-bool", "constant-string", "coefficient-bool", "coefficient-string",
+        "frequency-float", "frequency-bool", "frequency-four-entries", "frequency-one-entry",
+        "frequency-string", "frequency-mirrored-twice", "frequency-repeated",
         "hold-axis-3", "hold-axis-negative", "hold-axis-bool", "hold-angle-nan",
         "hold-angle-inf", "hold-angle-string", "hold-axis-repeated", "call-none",
         "call-string", "call-bytes", "call-bool", "call-bool-array", "call-complex",
