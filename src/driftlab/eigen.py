@@ -267,7 +267,9 @@ def eigen_sweep(scenario, n, eps_list, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITE
     propagates.
     """
     _check_budget(tol, max_iter)
-    if not isinstance(eps_list, (str, bytes)):
+    # text would be read a character at a time, a set in hash order and a
+    # dict by its keys
+    if not isinstance(eps_list, (str, bytes, set, frozenset, dict)):
         try:
             eps_list = list(eps_list)
         except TypeError:  # not iterable: a bare number, None, a 0-d array

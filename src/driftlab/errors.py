@@ -42,4 +42,11 @@ class NotIrreducibleError(DriftlabError):
 
 
 class ScheduleError(DriftlabError):
-    """Epsilon schedule does not meet the required shape (geometric, decreasing)."""
+    """An eps schedule eigen_sweep or extrapolate_limit cannot take.
+
+    eigen_sweep refuses a schedule that is not a sequence of real numbers
+    (text, a set or a dict is not one), or not positive and finite, or not
+    strictly decreasing. extrapolate_limit refuses a sweep with fewer than
+    three certified entries, or whose certified eps are not strictly
+    decreasing, or whose last three eps have two ratios that differ by more
+    than 1%."""

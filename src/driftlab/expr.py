@@ -112,9 +112,8 @@ class TrigExpr:
 
         This is the pointwise evaluator, for the mesh points near a component
         and the points of a 1D grid: on_grid(n, 1) is this at grid_angles(n)
-        bit for bit. The angle m.x takes only the axes with m_a != 0, so on
-        an open mesh (Grid.open_mesh) a harmonic in x1 alone runs cos/sin on
-        n points. The arithmetic per element is the same for any shape.
+        bit for bit. The angle m.x takes only the axes with m_a != 0, and the
+        arithmetic per element is the same for any broadcast shape.
         The coordinates, from nvars to three of them, are each real numbers
         as _real_array reads them, else ValueError; a point gives a float.
         """
@@ -138,8 +137,8 @@ class TrigExpr:
         """Samples on the (n,)*dim grid of angles 2*pi*j/n, j = 0..n-1 per
         axis (the points of Grid(dim, n)), flattened row-major, written into
         and returned in out if given: a C-contiguous float64 array of shape
-        (n**dim,). n must be an integer >= 1 and dim one in 1..3, else
-        ValueError.
+        (n**dim,). n must be an integer >= 1 and dim a dimension (_dim),
+        else ValueError.
 
         In 1D they are __call__ at grid_angles(n), bit for bit, taken
         _CHUNK_POINTS angles at a time. On more axes they come from the
@@ -154,9 +153,7 @@ class TrigExpr:
         """
         if not _is_int(n) or n < 1:
             raise ValueError("n must be an integer >= 1, got %r" % (n,))
-        if not _is_int(dim) or not 1 <= dim <= _NVARS:
-            raise ValueError("dim must be an integer in 1..%d, got %r" % (_NVARS, dim))
-        n, dim = int(n), int(dim)
+        n, dim = int(n), _dim(dim)
         harm = self.harmonics(dim)  # raises if the expression uses more than dim axes
         if out is None:
             out = np.empty(n**dim)
@@ -255,9 +252,9 @@ class TrigExpr:
     def harmonics(self, dim):
         """The coefficients a_m of  f(x) = sum_m a_m e^{i m.x}  that this
         expression holds, with the keys m cut to length dim; a_{-m} =
-        conj(a_m) exactly. on_grid, abs_sum and hold read them on each call."""
-        if not _is_int(dim):
-            raise ValueError("dim must be an integer, got %r" % (dim,))
+        conj(a_m) exactly. on_grid, abs_sum and hold read them on each call.
+        dim must be a dimension (_dim), else ValueError."""
+        dim = _dim(dim)
         if self.nvars > dim:
             raise ValueError("expression uses more variables than dim")
         return {m[:dim]: a for m, a in self._coef.items()}
@@ -332,6 +329,14 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _dim(value):
+    """value as an int, if it is the dimension of a torus: an integer
+    (_is_int) in 1..3, one axis per variable x1..x3; else ValueError."""
+    if not (_is_int(value) and 1 <= value <= _NVARS):
+        raise ValueError("dim must be an integer in 1..%d, got %r" % (_NVARS, value))
+    return int(value)
+
+
 def _real_array(value, name):
     """value as a float64 array, with no copy when it is one already: an
     array or sequence of numpy integer or floating kind, or a number that
@@ -356,8 +361,9 @@ def _check_row(arr, shape, name):
 
 def grid_angles(n, lo=0, hi=None):
     """The angles 2*pi*j/n of an n-point grid axis, for lo <= j < hi (all n
-    by default): the points of Grid.axis and of on_grid."""
-    return 2.0 * math.pi * np.arange(lo, n if hi is None else hi) / n
+    by default): the points of on_grid, Grid.coord_arrays and the
+    validation mesh."""
+    return math.tau * np.arange(lo, n if hi is None else hi) / n
 
 
 # -- parser ------------------------------------------------------------------

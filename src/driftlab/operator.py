@@ -37,9 +37,7 @@ import numpy as np
 
 from .errors import (CoefficientOverflowError, GridTooLargeError, NonMetzlerError,
                      NotIrreducibleError)
-from .expr import _check_row, _is_int, _is_real, _real_array, grid_angles
-
-TWO_PI = 2.0 * math.pi
+from .expr import _check_row, _dim, _is_int, _is_real, _real_array, grid_angles
 
 # bytes of the grid-sized float arrays one call may allocate (_check_memory)
 MAX_BYTES = 2**30
@@ -69,37 +67,24 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        for v in (self.dim, self.n):
-            if not _is_int(v):
-                raise ValueError("grid dim and n must be integers, got %r" % (v,))
+        if not (_is_int(self.n) and self.n >= 8):
+            raise ValueError("grid n must be an integer >= 8, got %r" % (self.n,))
         # a numpy integer would wrap around in n**dim
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _dim(self.dim))
         object.__setattr__(self, "n", int(self.n))
-        if self.dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
-        if self.n < 8:
-            raise ValueError("need at least 8 points per axis")
 
     @property
     def h(self):
-        return TWO_PI / self.n
+        return math.tau / self.n
 
     @property
     def size(self):
         return self.n**self.dim
 
-    def axis(self):
-        return grid_angles(self.n)
-
     def coord_arrays(self):
         """dim arrays of length size: coordinates of every grid point, row-major."""
-        mesh = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
+        mesh = np.meshgrid(*([grid_angles(self.n)] * self.dim), indexing="ij")
         return [m.ravel() for m in mesh]
-
-    def open_mesh(self):
-        """dim broadcastable axis arrays, the a-th of shape (n,) along axis a
-        and 1 elsewhere; fields evaluated on them have shape (n,)*dim."""
-        return np.meshgrid(*([self.axis()] * self.dim), indexing="ij", sparse=True)
 
 
 class SparseOperator:

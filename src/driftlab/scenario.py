@@ -12,7 +12,9 @@ every axis, with flow 0; a cycle the axes across it at its level, with flow
 kind through those fields, bounds a field on all of a component from its
 restriction there (TrigExpr.hold), and reports residuals without mutating
 anything. A component's distance(coords) takes one real array per axis,
-broadcastable, as Grid.open_mesh returns them, and returns their shape.
+broadcastable, such as the sparse validation mesh, and returns their shape.
+The torus's geometry (its dimension rule and its grid angles) is expr.py's:
+this module reads fields and angles from there and no stencil.
 """
 from __future__ import annotations
 
@@ -26,8 +28,7 @@ import numpy as np
 
 from .diophantine import check_declared_bound, is_irrational
 from .errors import ScenarioFormatError
-from .expr import _is_int, _is_real, _real_array, parse_expr
-from .operator import TWO_PI, Grid
+from .expr import _dim, _is_int, _is_real, _real_array, grid_angles, parse_expr
 
 # |Re eigenvalue| below this is treated as a zero real part (not hyperbolic)
 HYPERBOLICITY_TOL = 1e-6
@@ -67,13 +68,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario",
-    "periodic_delta",
 ]
-
-
-def periodic_delta(x):
-    """Signed distance to 0 on the circle: wraps into [-pi, pi)."""
-    return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +95,13 @@ class Component:
 
     def distance(self, coords):
         """Periodic distance from the points coords, one real coordinate
-        (or array) per axis of the component's dim, to its held axes."""
+        (or array) per axis of the component's dim, to its held axes: each
+        held axis's difference wrapped into [-pi, pi)."""
         coords = [_real_array(x, "coords") for x in coords]
         if len(coords) != self.flow.size:
             raise ValueError("distance needs one coordinate per axis of dim %d, got %d"
                              % (self.flow.size, len(coords)))
-        d2 = sum(periodic_delta(coords[a] - x) ** 2 for a, x in self.held)
+        d2 = sum(((coords[a] - x + math.pi) % math.tau - math.pi) ** 2 for a, x in self.held)
         return np.broadcast_to(np.sqrt(d2), np.broadcast_shapes(*map(np.shape, coords)))
 
 
@@ -115,26 +111,25 @@ class Scenario:
     `components` are component specs in the JSON form that scenario_from_dict
     reads, such as {"type": "point", "location": [0.0]}; the scenario holds
     each as a Component: its held axes, its flow and its normal matrix. The
-    arguments are checked as their JSON values would be: a string name, an
-    integer dim, a list of expression strings b, strings c and L, a list of
-    components with the keys of their type whose numeric fields are finite
-    real numbers. Any other input raises ScenarioFormatError. No attribute
-    can be assigned once the scenario is built.
+    arguments are checked as their JSON values would be: a string name, a
+    dim that expr._dim accepts, a list of expression strings b, strings c
+    and L, a list of components with the keys of their type whose numeric
+    fields are finite real numbers. Any other input raises
+    ScenarioFormatError. No attribute can be assigned once the scenario is
+    built.
     """
 
     def __init__(self, name, dim, b, c, L, components=()):
         try:
             if not isinstance(name, str):
                 raise ValueError("name %r is not a string" % (name,))
-            dim = _integer(dim)
+            dim = _dim(dim)
             b = _sequence(b, "b")
             if not all(isinstance(e, str) for e in (*b, c, L)):
                 raise ValueError("b must be a list of expression strings, c and L strings")
             components = _sequence(components, "components")
         except ValueError as exc:
             raise ScenarioFormatError("malformed scenario field: %s" % exc)
-        if dim not in (1, 2, 3):
-            raise ScenarioFormatError("dim must be 1, 2 or 3")
         b = tuple(parse_expr(e) for e in b)
         if len(b) != dim:
             raise ScenarioFormatError(
@@ -201,7 +196,7 @@ class Scenario:
                     raise ScenarioFormatError("cycle period must be positive")
                 spec = {"type": kind, "axis": axis + 1, "level": level, "period": period}
                 held = [(j, level) for j in range(self.dim) if j != axis]
-                flow[axis] = TWO_PI / period
+                flow[axis] = math.tau / period
             else:  # a torus
                 if self.dim != 2:
                     raise ScenarioFormatError("a torus needs dim 2")
@@ -216,7 +211,7 @@ class Scenario:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError("component %d malformed: %s" % (i, exc))
         # an angle far off the circle would overflow m.x; spec keeps it as given
-        held = tuple((a, x % TWO_PI) for a, x in held)
+        held = tuple((a, x % math.tau) for a, x in held)
         axes, base = [a for a, _ in held], np.zeros(self.dim)
         base[axes] = [x for _, x in held]
         normal = np.array([[self.db[p][q](*base) for q in axes] for p in axes])
@@ -282,12 +277,14 @@ def validate_scenario(scenario):
     the residual _bound(field - value), which bounds the deviation on all of
     the component. The two inequalities are checked on the validation grid:
     L >= 0 from on_grid, and b . grad L <= 0 near each attracting component
-    from __call__ on the open mesh."""
+    from __call__ at the points of the sparse mesh of grid_angles within
+    NEIGHBORHOOD_RADIUS of it."""
     tol = VALIDATION_TOL
     dim = scenario.dim
     checks = []
-    grid = Grid(dim, VALIDATION_RESOLUTION)
-    mesh = grid.open_mesh()
+    n = VALIDATION_RESOLUTION
+    angles = grid_angles(n)
+    mesh = np.meshgrid(*[angles] * dim, indexing="ij", sparse=True)
     ids = scenario.component_ids()
 
     def residual_check(name, res, detail=""):
@@ -321,7 +318,7 @@ def validate_scenario(scenario):
                 cid + " small-divisor bound", ok, _excess(1.0 - margin),
                 "declared (C, alpha) margin %.3g on |m| <= %d" % (margin, SMALL_DIVISOR_RANGE)))
 
-    residual_check("L nonnegative", _excess(-float(np.min(scenario.L.on_grid(grid.n, dim)))))
+    residual_check("L nonnegative", _excess(-float(np.min(scenario.L.on_grid(n, dim)))))
 
     for cid, comp in zip(ids, scenario.components):
         if comp.is_attracting:
@@ -329,7 +326,7 @@ def validate_scenario(scenario):
                            _bound(comp, dim, (scenario.L, *scenario.grad_L)),
                            "bounds max(|L|, |grad L|) on the component")
             mask = comp.distance(mesh) <= NEIGHBORHOOD_RADIUS
-            nc = [grid.axis()[i] for i in np.nonzero(mask)]
+            nc = [angles[i] for i in np.nonzero(mask)]
             decay = sum(scenario.b[i](*nc) * scenario.grad_L[i](*nc) for i in range(dim))
             residual_check(cid + " local Lyapunov decrease", _excess(float(np.max(decay))),
                            "max (b, grad L) within %.2g" % NEIGHBORHOOD_RADIUS)
@@ -351,8 +348,8 @@ BUILTINS = {
     },
     "stable-cycle": {
         "dim": 2, "b": ["1", "-sin(x2)"], "c": "cos(x1)", "L": "1 - cos(x2)",
-        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI},
-                       {"type": "cycle", "axis": 1, "level": math.pi, "period": TWO_PI}],
+        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": math.tau},
+                       {"type": "cycle", "axis": 1, "level": math.pi, "period": math.tau}],
     },
     "irrational-torus": {
         "dim": 2, "b": ["1", repr(PHI)], "c": "cos(x1)", "L": "0",
@@ -368,7 +365,7 @@ BUILTINS = {
               "-sin(2*x2)"],
         "c": "0.25*cos(x2)",
         "L": "2 - cos(x1) - cos(x2) + cos(x1)*cos(x2) - cos(x2)*cos(x2)",
-        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI},
+        "components": [{"type": "cycle", "axis": 1, "level": 0.0, "period": math.tau},
                        {"type": "point", "location": [0.0, math.pi]}],
     },
 }

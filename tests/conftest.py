@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 
 from driftlab.eigen import principal_eigenpair
+from driftlab.expr import grid_angles
 from driftlab.operator import Grid, assemble
 from driftlab.scenario import load_scenario
 
@@ -22,6 +23,12 @@ def bare_scenario(dim, b, c, L="0"):
     return load_scenario({
         "name": "raw", "dim": dim, "b": b, "c": c, "L": L, "components": [],
     })
+
+
+def sparse_mesh(grid):
+    """The grid's points as dim broadcastable axis arrays, the a-th of shape
+    (n,) along axis a and 1 elsewhere, as validate_scenario builds its mesh."""
+    return np.meshgrid(*[grid_angles(grid.n)] * grid.dim, indexing="ij", sparse=True)
 
 
 def to_dense(op):

@@ -179,3 +179,45 @@ def test_one_memory_rule():
         if "MAX_BYTES" in names_in(tree):
             named.append(path.name)
     assert raised == ["operator.py _check_memory"] and named == ["operator.py"]
+
+
+def test_scenario_reads_the_torus_from_expr():
+    # expr.py holds the torus's geometry, its dimension rule and grid
+    # angles: scenario.py imports no stencil or solver, and the package is
+    # two branches on expr, operator <- eigen and diophantine <- scenario
+    graph = {}
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        if path.name != "__init__.py":
+            graph[path.stem] = sorted(
+                {node.module for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1} - {"errors"})
+    assert graph == {"diophantine": ["expr"], "eigen": ["expr", "operator"], "errors": [],
+                     "expr": [], "operator": ["expr"], "scenario": ["diophantine", "expr"]}
+
+
+def test_only_expr_knows_the_dimension_range():
+    # expr._dim is the one rule for a dimension, an integer in 1..3: no other
+    # module compares a dim with a literal other than 1 or 2 (the 1D step,
+    # the 2-torus) or with a literal tuple, list or set, or names _NVARS
+    def is_dim(node):
+        return (isinstance(node, ast.Name) and node.id == "dim"
+                or isinstance(node, ast.Attribute) and node.attr == "dim")
+
+    spelled = []
+    for path in sorted((ROOT / "src" / "driftlab").glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for a, b in zip(operands, operands[1:]):
+                for side, other in ((a, b), (b, a)):
+                    if is_dim(side) and (
+                            isinstance(other, (ast.Tuple, ast.List, ast.Set))
+                            or isinstance(other, ast.Constant) and other.value not in (1, 2)):
+                        spelled.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+        if "_NVARS" in names_in(tree):
+            spelled.append("%s names _NVARS" % path.name)
+    assert spelled == []

@@ -751,6 +751,10 @@ class TestPairProperties:
         assert op.solves == 4
 
 
+# ROADMAP item 1's small-eps schedule for mixed
+GATE_SCHEDULE = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+
+
 class TestSweep:
     def test_constant_potential_flat_sweep(self):
         s = bare_scenario(1, ["0"], "1.25")
@@ -796,12 +800,16 @@ class TestSweep:
         (["0.1"], "real number"),
         ([None], "real number"),
         ([0.2, 0.1 + 0j], "real number"),
-    ], ids=["str", "bytes", "float", "none", "0-d-array", "bool", "numpy-bool", "str-entry", "numeric-str-entry",
-            "none-entry", "complex-entry"])
+        ({0.1, 0.2, 0.05, 0.4}, "sequence of numbers"),
+        (frozenset({0.2, 0.1}), "sequence of numbers"),
+        ({0.2: 1, 0.1: 2}, "sequence of numbers"),
+    ], ids=["str", "bytes", "float", "none", "0-d-array", "bool", "numpy-bool", "str-entry",
+            "numeric-str-entry", "none-entry", "complex-entry", "set", "frozenset", "dict"])
     def test_schedule_must_hold_real_numbers(self, schedule, match, monkeypatch):
         # a str was read one character at a time ("21" ran eps 2.0, then
-        # 1.0), a bool as 0 or 1, and a bare number raised a TypeError;
-        # all now fail like a bad tol does
+        # 1.0), a bool as 0 or 1, a set in hash order (0.1, 0.4, 0.2, 0.05),
+        # a dict by its keys, and a bare number raised a TypeError; all now
+        # fail like a bad tol does
         assembled = []
         monkeypatch.setattr(eigen, "assemble", lambda *args: assembled.append(args))
         with pytest.raises(ScheduleError, match=match):
@@ -845,9 +853,25 @@ class TestSweep:
             eigen_sweep(builtin_scenario(name), n, [0.2, 0.1, 0.05])
         assert assembled == []
 
+    def test_small_eps_certified_down_to_the_gate(self):
+        # ROADMAP item 1's gate: mixed at n = 64 certifies every entry down to
+        # eps = 0.00625 in one sweep (52 to 479 iterations, the smallest three
+        # through the gauge restart)
+        entries = eigen_sweep(builtin_scenario("mixed"), 64, GATE_SCHEDULE)
+        assert [e.eps for e in entries] == list(GATE_SCHEDULE)
+        assert all(e.ok and e.pair.certified for e in entries)
+
+    def test_small_eps_brackets_hold_the_dense_oracle(self):
+        # the same schedule at n = 16, where dense eig is the oracle
+        s = builtin_scenario("mixed")
+        for e in eigen_sweep(s, 16, GATE_SCHEDULE):
+            lam_d, _, _ = dense_principal(to_dense(assemble(s, Grid(2, 16), e.eps)))
+            assert e.pair.certified, e.eps
+            assert e.pair.lam_lo <= lam_d + 1e-13 and lam_d - 1e-13 <= e.pair.lam_hi, e.eps
+
     def test_non_integer_n_rejected(self):
         # raised at once, not recorded on every entry
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="must be an integer"):
             eigen_sweep(builtin_scenario("mixed"), 64.0, [0.2, 0.1, 0.05])
 
     def test_per_entry_error_propagation(self, monkeypatch):

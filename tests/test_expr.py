@@ -1,11 +1,12 @@
 import math
+import re
 import struct
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import SINK_3D, reference_harmonics
+from conftest import SINK_3D, reference_harmonics, sparse_mesh
 
 from driftlab.expr import (
     ExprSyntaxError,
@@ -13,7 +14,7 @@ from driftlab.expr import (
     parse_expr,
 )
 from driftlab.operator import Grid
-from driftlab.scenario import BUILTINS
+from driftlab.scenario import BUILTINS, Scenario
 
 
 def random_expr(rng, nterms=None, nvars=2):
@@ -271,7 +272,7 @@ class TestPeriodicityAndEval:
             grid = Grid(dim, 9)
             for _ in range(5):
                 e, _ = random_expr(rng, nterms=6, nvars=dim)
-                got = e(*grid.open_mesh()).ravel()
+                got = e(*sparse_mesh(grid)).ravel()
                 want = e(*grid.coord_arrays())
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), str(e))
 
@@ -386,6 +387,9 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: parse_expr("cos(x1)").derivative(1.5), ValueError, "axis out of range"),
     (lambda: parse_expr("cos(x1)").harmonics(True), ValueError, "dim must be an integer"),
     (lambda: parse_expr("cos(x1)").abs_sum(2.5), ValueError, "dim must be an integer"),
+    # -1 raised "more variables than dim", and 7 gave 3-entry keys
+    (lambda: parse_expr("3").harmonics(-1), ValueError, "dim must be an integer in 1..3"),
+    (lambda: parse_expr("3").harmonics(7), ValueError, "dim must be an integer in 1..3"),
     (lambda: parse_expr("cos(x1)") + True, TypeError, "unsupported operand"),
     (lambda: True * parse_expr("cos(x1)"), TypeError, "unsupported operand"),
     (lambda: parse_expr("cos(x1 + x3)").harmonics(2), ValueError,
@@ -444,7 +448,8 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
     (lambda: GRID_FIELD(np.array([1.0, None]), 0.0), ValueError, "x1 must be real"),
     (lambda: parse_expr("cos(x1)")(0.0, 1.0, 2.0, 3.0), ValueError, "at most 3"),
 ], ids=["setattr", "derivative-axis-3", "derivative-axis-negative", "derivative-axis-bool",
-        "derivative-axis-float", "harmonics-dim-bool", "abs-sum-dim-float", "add-bool",
+        "derivative-axis-float", "harmonics-dim-bool", "abs-sum-dim-float",
+        "harmonics-dim-negative", "harmonics-dim-7", "add-bool",
         "bool-times", "harmonics-dim",
         "parse-bytes", "sin-without-paren", "cos-at-end", "operator-as-factor",
         "bare-variable", "arabic-indic-digit", "em-spaces", "file-separator",
@@ -461,3 +466,15 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
 def test_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("dim", [0, 4, -1, 1.0, True, "2", None])
+def test_one_dimension_rule(dim):
+    # every entry point that takes a dimension refuses the same ones, with
+    # the message of expr._dim (a Scenario's as a ScenarioFormatError)
+    match = r"dim must be an integer in 1\.\.3, got %s" % re.escape(repr(dim))
+    for call in (lambda: Grid(dim, 8), lambda: GRID_FIELD.on_grid(8, dim),
+                 lambda: GRID_FIELD.harmonics(dim), lambda: GRID_FIELD.abs_sum(dim),
+                 lambda: Scenario("x", dim, [], "0", "0")):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SINK_3D
+from conftest import SINK_3D, sparse_mesh
 from driftlab.diophantine import check_declared_bound, continued_fraction
 from driftlab.errors import DriftlabError
 from driftlab.expr import ExprSyntaxError, TrigExpr
-from driftlab.operator import TWO_PI, Grid
+from driftlab.operator import Grid
 from driftlab.scenario import (
     BUILTIN_NAMES,
     BUILTINS,
@@ -65,7 +65,15 @@ REPORT_CHECKS = {
 }
 
 
-CYCLE_X2_0 = {"type": "cycle", "axis": 1, "level": 0.0, "period": TWO_PI}
+CYCLE_X2_0 = {"type": "cycle", "axis": 1, "level": 0.0, "period": math.tau}
+
+# a 3D cycle along x1 holds two axes: attracting at level 0, repelling at pi
+CYCLE_3D = {
+    "name": "cycle-3d", "dim": 3, "b": ["1", "-sin(x2)", "-sin(x3)"], "c": "cos(x1)",
+    "L": "2 - cos(x2) - cos(x3)",
+    "components": [CYCLE_X2_0, {"type": "cycle", "axis": 1, "level": math.pi,
+                                "period": math.tau}],
+}
 
 # 2D scenarios whose declared structure fails only between equally spaced
 # points of the component: a harmonic in 256*x1 (64*x1) vanishes at 256 (64)
@@ -127,6 +135,16 @@ class TestValidation:
         s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
         assert [c.name for c in validate_scenario(s).checks] == REPORT_CHECKS[name]
 
+    def test_3d_cycle_holds_two_axes(self):
+        # the validation mesh masks the points near a cycle over both held
+        # axes; the report has stable-cycle's ten checks
+        s = scenario_from_dict(CYCLE_3D)
+        report = validate_scenario(s)
+        assert report.passed, [c.name for c in report.failures()]
+        assert [c.name for c in report.checks] == REPORT_CHECKS["stable-cycle"]
+        assert [c.normal.tolist() for c in s.components] == [[[-1.0, 0.0], [0.0, -1.0]],
+                                                             [[1.0, 0.0], [0.0, 1.0]]]
+
     @pytest.mark.parametrize("k, C, failed", [
         ([1.0, 0.0], 0.5, "0:torus irrational ratio"),
         ([0.0, 0.0], 0.5, "0:torus irrational ratio"),
@@ -185,7 +203,7 @@ class TestValidation:
     def test_bound_holds_at_every_sample(self):
         # sum |a| of the held harmonics is never below the field's largest
         # value at points of the component, whatever its level
-        x1 = np.linspace(0.0, TWO_PI, 1001)
+        x1 = np.linspace(0.0, math.tau, 1001)
         for level in (0.0, 1.0, math.pi, -2.5, 40.0):
             s = scenario_from_dict(dict(ALIASED["alias-L"], b=["1", "-sin(x2)*cos(x1)"],
                                         components=[dict(CYCLE_X2_0, level=level)]))
@@ -494,7 +512,7 @@ class TestJsonForm:
         ({**BUILTINS["stable-point"], "components": [{"type": "point", "locaton": [0.0]}]},
          "'locaton'", "'location'"),
         ({**BUILTINS["stable-cycle"], "components": [
-            {"type": "cycle", "axis": 1, "levle": 0.0, "period": TWO_PI}]}, "'levle'", "'level'"),
+            {"type": "cycle", "axis": 1, "levle": 0.0, "period": math.tau}]}, "'levle'", "'level'"),
         ({**BUILTINS["irrational-torus"], "components": [
             {"type": "torus", "k": [1.0, PHI], "c": 0.5, "alpha": 0.5}]}, "'c'", "'C'"),
         ({**BUILTINS["stable-point"], "components": [{"type": "point"}]}, None, "'location'"),
@@ -568,12 +586,13 @@ class TestComponentGeometry:
                            % len(coords)):
             p.distance(coords)
 
-    @pytest.mark.parametrize("name", ["mixed", "irrational-torus", "sink-3d"])
+    @pytest.mark.parametrize("name", ["mixed", "irrational-torus", "sink-3d", "cycle-3d"])
     def test_distance_on_open_mesh_equals_flat(self, name):
-        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        extra = {"sink-3d": SINK_3D, "cycle-3d": CYCLE_3D}
+        s = scenario_from_dict(extra[name]) if name in extra else builtin_scenario(name)
         g = Grid(s.dim, 16)
         for comp in s.components:
-            d = comp.distance(g.open_mesh())
+            d = comp.distance(sparse_mesh(g))
             assert d.shape == (16,) * s.dim
             np.testing.assert_array_equal(d.ravel(), comp.distance(g.coord_arrays()))
 
@@ -596,7 +615,7 @@ class TestComponentModel:
             axes = [a for a, _ in comp.held]
             assert len(axes) == {"point": s.dim, "cycle": s.dim - 1, "torus": 0}[comp.kind]
             assert axes == sorted(axes)
-            assert all(0.0 <= x < TWO_PI for _, x in comp.held)
+            assert all(0.0 <= x < math.tau for _, x in comp.held)
             assert comp.flow.shape == (s.dim,)
             assert all(comp.flow[a] == 0.0 for a in axes)
             assert comp.normal.shape == (len(axes),) * 2
@@ -665,7 +684,7 @@ class TestComponentModel:
         s = Scenario("big", 1, ["sin(2*x1)"], "0", "0",
                      [{"type": "point", "location": [1e308]}])
         p = s.components[0]
-        x = 1e308 % TWO_PI
+        x = 1e308 % math.tau
         assert p.held == ((0, x),) and p.spec["location"] == (1e308,)
         assert p.normal.tolist() == [[2 * math.cos(2 * x)]]
         assert p.normal[0, 0] == pytest.approx(0.863, abs=1e-3)
@@ -679,7 +698,7 @@ class TestComponentModel:
                                 "c": "0", "L": "1 - cos(x2)",
                                 "components": [dict(CYCLE_X2_0, level=-1e308)]})
         cyc = s.components[0]
-        x = -1e308 % TWO_PI
+        x = -1e308 % math.tau
         assert cyc.held == ((1, x),) and scenario_to_dict(s)["components"][0]["level"] == -1e308
         assert cyc.normal.tolist() == [[-math.cos(x)]]
         checks = {c.name: c for c in validate_scenario(s).checks}
@@ -692,8 +711,9 @@ CYCLE_2D = {"name": "x", "dim": 2, "b": ["0", "1"], "c": "0", "L": "0"}
 
 
 @pytest.mark.parametrize("data, match", [
-    ({"name": "x", "dim": 0, "b": [], "c": "0", "L": "0"}, "dim must be 1, 2 or 3"),
-    ({"name": "x", "dim": 4, "b": ["0"] * 4, "c": "0", "L": "0"}, "dim must be 1, 2 or 3"),
+    ({"name": "x", "dim": 0, "b": [], "c": "0", "L": "0"}, "dim must be an integer in 1..3"),
+    ({"name": "x", "dim": 4, "b": ["0"] * 4, "c": "0", "L": "0"},
+     "dim must be an integer in 1..3"),
     ({**CYCLE_2D, "components": [{"axis": 1, "level": 0.0, "period": 1.0}]},
      "component 0 has no type"),
     ({**CYCLE_2D, "components": [["cycle"]]}, "component 0 has no type"),
