@@ -4,9 +4,10 @@ Arnoldi, certified by a Collatz-Wielandt bracket.
 One Arnoldi loop grows a basis of KRYLOV_DIM vectors by one map, step, and
 cuts it back between cycles to the span of the KEEP rightmost Ritz vectors,
 in place (Stewart's Krylov-Schur restart, with an orthonormalized real basis
-of Ritz vectors in place of the Schur vectors). After each cycle one apply
-of A at the rightmost Ritz vector u gives lam (A's Rayleigh quotient), the
-residual and the bracket [min (Au)_i/u_i, max (Au)_i/u_i] (_certify). For
+of Ritz vectors in place of the Schur vectors). After each cycle, and on a
+1D grid also after its EARLY_STEPS-th step, one apply of A at the rightmost
+Ritz vector u gives lam (A's Rayleigh quotient), the residual and the
+bracket [min (Au)_i/u_i, max (Au)_i/u_i] (_certify). For
 a Metzler, irreducible A and any u > 0 that bracket contains the Perron
 eigenvalue, so its width bounds the error of lam.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DriftlabError, ScheduleError
 from .expr import _is_int, _is_real, _real_array
-from .operator import BLOCK_ROWS, Grid, _check_memory, assemble
+from .operator import BLOCK_ROWS, Grid, _check_memory, _line_aligned_empty, assemble
 
 __all__ = [
     "EigenPair",
@@ -45,6 +46,9 @@ KRYLOV_DIM = 30
 KEEP = 10
 # give up, uncertified, after this many cycles without a narrower bracket
 STALL_CYCLES = 10
+# on a 1D grid, one more check after this many steps of each cycle: the
+# shifted inverse's gap certifies most solves in 4 or 5
+EARLY_STEPS = 6
 
 
 @dataclass
@@ -69,17 +73,26 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     N real numbers as _real_array reads them, finite and not all zero, is
     checked before the step is made, and so before the step's checks of op.
     `iterations` counts the steps and the one op.apply per _certify, at most
-    max_iter of them. A run ends when they run out, or when STALL_CYCLES
-    cycles in a row improve neither the bracket width nor, at equal width,
-    the residual. A Ritz vector is accurate in norm, not entry by entry, so
-    where u spans many decades a stalled bracket is rounding in u's small
-    entries. The first stall at a positive u therefore restarts the run,
-    once, with step the gauge D^-1 step D, D = diag(u), applied as
-    step(u*v)/u: its Perron vector is near 1 in every entry, and its Ritz
-    vectors times D are certified with A. The iterate with the narrowest
-    bracket (without one, the smallest residual) is returned, flagged
-    uncertified unless its bracket meets tol. Beside op the solve holds at
-    most _solve_floats(op.grid) grid-sized floats, plus a 1D step's factor;
+    max_iter of them. Each cycle ends in a check. On a 1D grid, whose
+    shifted inverse converges in a few solves, the rightmost Ritz vector is
+    also checked after the cycle's EARLY_STEPS-th solve, where the budget
+    leaves room for the cycle's own check. That check ends the run if it
+    certifies and is dropped if not: a solve it does not certify takes the
+    same steps, each check costing one apply of the budget. 2D and 3D
+    solves check only at a cycle's end, where a check inside the cycle
+    would move where they stop, and so their bits. A run ends when the
+    budget runs out, or when STALL_CYCLES cycles in a row improve neither
+    the bracket width nor, at equal width, the residual. A Ritz vector is
+    accurate in norm, not entry by entry, so where u spans many decades a
+    stalled bracket is rounding in u's small entries. The first stall at a
+    positive u therefore restarts the run, once, with step the gauge D^-1
+    step D, D = diag(u), applied as step(u*v)/u: its Perron vector is near
+    1 in every entry, and its Ritz vectors times D are certified with A.
+    The iterate with the narrowest bracket (without one, the smallest
+    residual) is returned, flagged uncertified unless its bracket meets
+    tol. Beside op the solve holds at most _solve_floats(op.grid)
+    grid-sized floats, among them the basis, its rows on cache lines, and
+    a scratch row for Gram-Schmidt's products, plus a 1D step's factor;
     _perron_step counts both and raises GridTooLargeError before any step
     if they pass the byte budget.
     """
@@ -94,42 +107,55 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     m = KRYLOV_DIM
     base = op._perron_step(_solve_floats(op.grid))
 
-    V = np.empty((m + 1, size))  # rows are the orthonormal basis vectors
+    V = _line_aligned_empty(m + 1, size)  # rows are the orthonormal basis vectors
     # an exact power-of-two scaling to max|x| in [1/2, 1): the squared norm
     # neither over- nor underflows, and the unit vector is that of x0. It is
     # made in V[0], so the solve keeps no row of x0 beside the basis
     x = np.ldexp(x, -math.frexp(top)[1], out=V[0])
     x /= math.sqrt(np.sum(x * x))
+    scratch = _line_aligned_empty(size)  # Gram-Schmidt's products, in place
     H = np.zeros((m + 1, m))  # step(V[:j].T) = V[:j+1].T H[:j+1, :j]
     step = base
     gauge = 1.0  # D: a Ritz vector of step times D is one of A
+    early = op.grid.dim == 1  # the shifted inverse's wide gap
     j = 0  # basis vectors with their column of H
     calls = 0
     best, stale = None, 0
     roundoff = np.finfo(float).eps
     while True:
-        invariant = False
-        for _ in range(min(m - j, max_iter - calls - 1)):
+        invariant = done = False
+        first = j
+        while j < m and calls < max_iter - 1:
             w = step(V[j], out=V[j + 1])  # the next basis row, made in place
             calls += 1
             basis = V[:j + 1]
             h = basis @ w
-            w -= h @ basis
+            w -= np.matmul(h, basis, out=scratch)
             dh = basis @ w  # classical Gram-Schmidt, once more
-            w -= dh @ basis
-            H[:j + 1, j] = h + dh
-            beta = math.sqrt(np.sum(w * w))
+            w -= np.matmul(dh, basis, out=scratch)
+            h += dh
+            H[:j + 1, j] = h
+            beta = math.sqrt(np.add.reduce(np.multiply(w, w, out=scratch)))
             H[j + 1, j] = beta
             j += 1
-            if beta <= roundoff * math.sqrt(np.sum(H[:j, j - 1] ** 2)):
+            if beta <= roundoff * math.sqrt(h @ h):
                 invariant = True  # the Ritz values of H[:j, :j] are exact
                 break
             w /= beta
+            if early and j - first == EARLY_STEPS and calls < max_iter - 1:
+                # one check inside the cycle, kept only if it certifies, and
+                # made only where the cycle's own check still fits after it
+                pair = _certify(op, _ritz(H, V, j, gauge)[3], tol)
+                calls += 1
+                if pair.certified:
+                    best = pair
+                    done = True
+                    break
+                del pair
 
-        theta, Y = np.linalg.eig(H[:j, :j])
-        order = np.argsort(-theta.real)
-        u = Y[:, order[0]].real @ V[:j]
-        u *= gauge
+        if done:
+            break
+        theta, Y, order, u = _ritz(H, V, j, gauge)
         pair = _certify(op, u, tol)
         calls += 1
         if best is None or _rank(pair) < _rank(best):
@@ -157,6 +183,17 @@ def principal_eigenpair(op, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, x0=None)
     return replace(best, u=u, iterations=calls)
 
 
+def _ritz(H, V, j, gauge):
+    """The eigenpairs (theta, Y) of H[:j, :j], the order of decreasing real
+    part, and the rightmost Ritz vector of A: the real part of that
+    eigenvector of H applied to the basis V[:j], times the gauge D."""
+    theta, Y = np.linalg.eig(H[:j, :j])
+    order = np.argsort(-theta.real)
+    u = Y[:, order[0]].real @ V[:j]
+    u *= gauge
+    return theta, Y, order, u
+
+
 def _certify(op, u, tol):
     """u checked against op by one op.apply: u's sign fixed in place, lam =
     (u @ Au) / (u @ u), the residual and the Collatz-Wielandt bracket. For
@@ -182,9 +219,12 @@ def _certify(op, u, tol):
 
 def _solve_floats(grid):
     """The grid-sized floats a solve on grid holds at most, one term per
-    array; _perron_step adds what a 1D step's factor holds."""
+    array; _perron_step adds what a 1D step's factor holds. The Gram-Schmidt
+    scratch row lives as long as the basis, and a 1D cycle's early check
+    holds the rows of a check at a cycle's end."""
     size = grid.size
     return ((KRYLOV_DIM + 1) * size  # the basis V
+            + size  # the Gram-Schmidt scratch row
             + (KEEP + 1) * min(size, BLOCK_ROWS)  # a block of _restart's product
             + 3 * size  # _certify's u, Au and scratch row
             + 2 * size)  # the best pair's u and the gauge

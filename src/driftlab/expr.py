@@ -342,6 +342,8 @@ def _real_array(value, name):
     array or sequence of numpy integer or floating kind, or a number that
     _is_real accepts. Anything else (bool, complex, str, bytes, None,
     object) raises ValueError naming the argument."""
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        return value  # the solver's and apply's rows, at every call
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         if not _is_real(value):  # a Fraction is a number numpy holds as an object

@@ -18,6 +18,7 @@ from conftest import (
 from driftlab import eigen, operator
 from driftlab.eigen import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     EigenPair,
     SweepEntry,
     eigen_sweep,
@@ -531,6 +532,25 @@ class TestShiftedInverse:
         entries = eigen_sweep(builtin_scenario("stable-point"), n, eps)
         assert all(e.ok for e in entries), [(e.eps, e.error) for e in entries]
         assert all(e.pair.iterations <= 100 for e in entries)
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_sweep_certified_by_the_early_check(self, n):
+        # the check after a cycle's sixth solve certifies every entry: six
+        # solves and one apply, where the check at the cycle's end took 31
+        entries = eigen_sweep(builtin_scenario("stable-point"), n, (0.2, 0.1, 0.05))
+        assert [(e.ok, e.pair.iterations <= 7) for e in entries] == [(True, True)] * 3
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-15], ids=["default", "unreachable"])
+    @pytest.mark.parametrize("max_iter", [6, 7, 8])
+    def test_early_check_keeps_to_max_iter(self, max_iter, tol):
+        # the early check is one more apply: at 6 and 7 the budget ends the
+        # cycle before or at the sixth solve, at 8 the check is made
+        op = CountingOperator(assemble(builtin_scenario("stable-point"), Grid(1, 512), 0.1))
+        pair = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+        assert pair.iterations == op.applies + op.solves <= max_iter
+        assert pair.certified == (tol == DEFAULT_TOL)
+        if not pair.certified:
+            assert pair.iterations == max_iter
 
     def test_stalled_bracket_certified_in_gauge(self):
         # at n = 256, eps = 0.01 rounding stalls the bracket of the plain

@@ -11,6 +11,7 @@ from conftest import SINK_3D, reference_harmonics, sparse_mesh
 from driftlab.expr import (
     ExprSyntaxError,
     TrigExpr,
+    _real_array,
     parse_expr,
 )
 from driftlab.operator import Grid
@@ -466,6 +467,20 @@ GRID_FIELD = parse_expr("cos(x1) + 0.5*sin(2*x2)")
 def test_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_real_array_keeps_a_float64_array():
+    # the solver's rows pass through as they are; every other input is
+    # still read or refused as before
+    row = np.ones(5)
+    assert _real_array(row, "x") is row
+    view = np.ones(10)[::2]
+    assert _real_array(view, "x") is view
+    assert _real_array(np.arange(3), "x").dtype == np.float64
+    for bad in (np.zeros(3, dtype=bool), np.zeros(3, dtype=complex),
+                np.array([1.0, None]), True, 1j):
+        with pytest.raises(ValueError, match="x must be real numbers"):
+            _real_array(bad, "x")
 
 
 @pytest.mark.parametrize("dim", [0, 4, -1, 1.0, True, "2", None])

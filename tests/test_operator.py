@@ -437,6 +437,23 @@ class TestAssembleStencil:
         assert [(r.shape, r.ctypes.data % 64) for r in rows] == [
             ((n,), 0), ((n * n,), 0), ((n * n,), 0)]
 
+    @pytest.mark.parametrize("shape", [(8,), (3, 64), (31, 4096), (4, 32768)])
+    def test_shapes_start_a_cache_line(self, shape):
+        # a 2D shape is C-contiguous, so its rows start lines when their
+        # length is a multiple of 8 (1D sizes: test_rows_start_a_cache_line)
+        arr = operator._line_aligned_empty(*shape)
+        assert arr.shape == shape and arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert [row.ctypes.data % 64 for row in arr.reshape(-1, shape[-1])] == [0] * (
+            arr.size // shape[-1])
+
+    @pytest.mark.parametrize("name, dim, n", [("stable-point", 1, 512),
+                                              ("stable-point", 1, 65536), ("mixed", 2, 64),
+                                              ("mixed", 2, 256), ("sink-3d", 3, 32)])
+    def test_assembled_rows_start_a_cache_line(self, name, dim, n):
+        s = scenario_from_dict(SINK_3D) if name == "sink-3d" else builtin_scenario(name)
+        op = assemble(s, Grid(dim, n), 0.1)
+        assert [r.ctypes.data % 64 for r in (op.diag, *op.off)] == [0] * (1 + 2 * dim)
+
     def test_apply_allocates_no_grid_row(self):
         # 262,144 rows in 8 blocks: apply into out needs only views, and the
         # operator's scratch holds one block, not one row of the grid
